@@ -15,8 +15,9 @@ irrelevance
     WAV in, masked reconstruction out; prints the removed fraction.
 
 Exit codes: 0 success; 2 diagnose found no frame; 64 usage error; 65 bad
-input data (WAV or container); 70 reconstruction failed to converge (the
-residual trace goes to standard error); 74 file I/O error.
+input data (WAV or container, including NaN or infinite WAV samples); 70
+reconstruction failed to converge (the residual trace goes to standard
+error); 74 file I/O error.
 
 Input WAVs may be 16- or 24-bit PCM or 32-bit float; the first channel is
 used. Signals are zero-padded to a multiple of 4096 samples so plenty of
@@ -37,7 +38,7 @@ from . import container, scales
 from .errors import AudfbError, ContainerError, ConvergenceError, NotAFrameError
 from .filterbank import FilterBank, analyze, build_audlet, parseval_normalize, synthesize
 from .frame_diagnostics import estimate_bounds
-from .masking import IrrelevanceModel, irrelevance_filter
+from .masking import IrrelevanceModel, _levels_db, irrelevance_filter
 from .synthesis import CGConfig, cg_synthesize, neumann_synthesize, painless_dual
 
 __all__ = ["main"]
@@ -168,6 +169,8 @@ def _read_wav(path) -> tuple[float, np.ndarray]:
         samples = data.astype(np.float64)
     else:
         raise _CliFailure(_EX_DATA, f"{path}: unsupported sample format {data.dtype}")
+    if not np.all(np.isfinite(samples)):
+        raise _CliFailure(_EX_DATA, f"{path}: contains non-finite samples")
     return float(rate), np.asarray(samples, dtype=np.float64)
 
 
@@ -260,22 +263,11 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _magnitude_rows_db(coefficients) -> list[np.ndarray]:
-    peak = max(float(np.abs(ck).max()) for ck in coefficients)
-    if peak == 0.0:
-        return [np.full(ck.shape[0], _DB_FLOOR) for ck in coefficients]
-    rows = []
-    with np.errstate(divide="ignore"):
-        for ck in coefficients:
-            rows.append(np.maximum(20.0 * np.log10(np.abs(ck) / peak), _DB_FLOOR))
-    return rows
-
-
 def _cmd_spectrogram(args) -> int:
     rate, samples = _read_wav(args.input)
     padded, _ = _pad(samples)
     fb = _bank(args, rate, padded.shape[0])
-    rows = _magnitude_rows_db(analyze(fb, padded))
+    rows = [np.maximum(level, _DB_FLOOR) for level in _levels_db(analyze(fb, padded))]
     width = max(row.shape[0] for row in rows)
     if args.format == "csv":
         lines = [",".join("%.17g" % float(f) for f in fb.center_frequencies)]

@@ -16,7 +16,8 @@ Two layouts exist:
   synthesis completes the mirror terms as conj(u_k), which is linear over
   real scalars and reconstructs real inputs exactly. The full atom system
   (stored plus mirror channels) is what diagnostics and frame statements
-  refer to; :func:`expanded_filters` materializes it.
+  refer to; :func:`expanded_filters` materializes it and
+  :func:`frequency_response` gives its diagonal term H0.
 
 Subband coefficients are plain lists of 1-D complex arrays, channel k having
 L/d_k entries.
@@ -43,6 +44,7 @@ __all__ = [
     "adjoint_bank",
     "parseval_normalize",
     "expanded_filters",
+    "frequency_response",
     "circular_cover",
     "PROTOTYPES",
 ]
@@ -262,6 +264,8 @@ def build_audlet(
     n = len(all_centers)
     filters = np.zeros((n, L), dtype=np.complex128)
     covers = []
+    # exact equal-energy normalization to the analytic target (L/f_s)*||w||^2
+    target = (L / sample_rate) * norm_sq
     for k in range(n):
         gamma = all_gammas[k]
         offs = _signed_offsets(L, sample_rate, all_centers[k])
@@ -271,14 +275,8 @@ def build_audlet(
                 f"channel {k} (center {all_centers[k]:.6g} Hz) has no nonzero bins; "
                 "increase signal_length or r_bw"
             )
-        filters[k] = vals
+        filters[k] = vals * math.sqrt(target / float(np.sum(vals**2)))
         covers.append(circular_cover(vals > 0.0))
-
-    # exact equal-energy normalization to the analytic target (L/f_s)*||w||^2
-    target = (L / sample_rate) * norm_sq
-    for k in range(n):
-        energy = float(np.sum(filters[k].real ** 2))
-        filters[k] *= math.sqrt(target / energy)
 
     divisors = _divisors(L)
     decimations = np.empty(n, dtype=np.int64)
@@ -353,6 +351,11 @@ def _check_coefficients(fb: FilterBank, coefficients) -> list[np.ndarray]:
     return out
 
 
+def _fold(V: np.ndarray, d: int) -> np.ndarray:
+    """Alias fold of a length-L spectrum onto L/d bins: sum_s V[i + s*L/d]."""
+    return V.reshape(d, V.shape[0] // d).sum(axis=0)
+
+
 def analyze(fb: FilterBank, x) -> list[np.ndarray]:
     """Subband coefficients y_k = downsample(idft(dft(x) * H_k), d_k).
 
@@ -365,12 +368,10 @@ def analyze(fb: FilterBank, x) -> list[np.ndarray]:
     if not np.all(np.isfinite(x)):
         raise DomainError("signal must be finite")
     X = np.fft.fft(x)
-    L = fb.signal_length
     out = []
     for k in range(fb.n_channels):
         d = int(fb.decimations[k])
-        folded = (X * fb.filters[k]).reshape(d, L // d).sum(axis=0) / d
-        out.append(np.fft.ifft(folded))
+        out.append(np.fft.ifft(_fold(X * fb.filters[k], d) / d))
     return out
 
 
@@ -416,12 +417,21 @@ def expanded_filters(fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
     if not fb.one_sided:
         return fb.filters, fb.decimations
     mids = range(1, fb.n_channels - 1)
-    mirrors = np.array([np.conj(np.roll(fb.filters[k][::-1], 1)) for k in mids])
+    mirrors = np.array([_mirror_spectrum(fb.filters[k]) for k in mids])
     if mirrors.size == 0:
         return fb.filters, fb.decimations
     filters = np.concatenate([fb.filters, mirrors], axis=0)
     decs = np.concatenate([fb.decimations, fb.decimations[1:-1]])
     return filters, decs
+
+
+def frequency_response(fb: FilterBank) -> np.ndarray:
+    """Diagonal term H0[j] = sum_k |H_k[j]|^2 / d_k over the full system."""
+    filters, decs = expanded_filters(fb)
+    response = np.zeros(fb.signal_length)
+    for H, d in zip(filters, decs):
+        response += (H.real**2 + H.imag**2) / int(d)
+    return response
 
 
 def parseval_normalize(fb: FilterBank) -> FilterBank:
@@ -430,10 +440,7 @@ def parseval_normalize(fb: FilterBank) -> FilterBank:
     For painless banks the result is an exact Parseval system (frame bounds
     (1, 1)); for non-painless banks it only flattens the diagonal term.
     """
-    filters_full, decs_full = expanded_filters(fb)
-    response = np.zeros(fb.signal_length)
-    for H, d in zip(filters_full, decs_full):
-        response += (H.real**2 + H.imag**2) / int(d)
+    response = frequency_response(fb)
     scale = np.where(response > 0.0, 1.0 / np.sqrt(np.where(response > 0.0, response, 1.0)), 0.0)
     config = replace(fb.config, parseval=True) if fb.config is not None else None
     return replace(fb, filters=fb.filters * scale, config=config)

@@ -7,8 +7,9 @@ matrix in the DFT domain:
 
 where H0 (the frequency response) collects the diagonal and the Hr for r >= 1
 (the alias components) collect everything off it. This module computes those
-terms, classifies banks (painless, diagonally dominant), estimates frame
-bounds three ways, applies S directly in the spectral domain, measures the
+terms (H0 comes from :mod:`audfb.filterbank` and is re-exported here),
+classifies banks (painless, diagonally dominant), estimates frame bounds
+three ways, applies S directly in the spectral domain, measures the
 perfect-reconstruction residual of an analysis/synthesis pair, and rewrites a
 non-uniform bank as an equivalent uniform one.
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import finite_frames
 from .dsp_core import _as_signal
 from .errors import DomainError, ShapeError, UnsupportedConfigError
-from .filterbank import FilterBank, circular_cover, expanded_filters
+from .filterbank import FilterBank, _fold, circular_cover, expanded_filters, frequency_response
 
 __all__ = [
     "DENSE_EIGEN_MAX_LENGTH",
@@ -109,15 +110,6 @@ class PRResidual:
 
 def _lcm_decimation(decimations) -> int:
     return math.lcm(*(int(d) for d in decimations))
-
-
-def frequency_response(fb: FilterBank) -> np.ndarray:
-    """Diagonal term H0[j] = sum_k |H_k[j]|^2 / d_k over the full system."""
-    filters, decs = expanded_filters(fb)
-    response = np.zeros(fb.signal_length)
-    for H, d in zip(filters, decs):
-        response += (H.real**2 + H.imag**2) / int(d)
-    return response
 
 
 def alias_components(fb: FilterBank) -> np.ndarray:
@@ -202,18 +194,18 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
             raise UnsupportedConfigError("painless-exact bounds need a painless bank")
         alias_norms = np.zeros(L)
         bounds = finite_frames.Bounds(float(response.min()), float(response.max()))
-    elif method == "diag-dominance":
-        alias_norms = np.abs(alias_components(fb)).sum(axis=0)
-        lower = max(0.0, float((response - alias_norms).min()))
-        upper = float((response + alias_norms).max())
-        bounds = finite_frames.Bounds(lower, upper)
     else:
-        if L > DENSE_EIGEN_MAX_LENGTH:
+        if method == "dense-eigen" and L > DENSE_EIGEN_MAX_LENGTH:
             raise UnsupportedConfigError(
                 f"dense-eigen bounds are limited to L <= {DENSE_EIGEN_MAX_LENGTH}, got {L}"
             )
         alias_norms = np.abs(alias_components(fb)).sum(axis=0)
-        bounds = finite_frames.frame_bounds(_atom_frame(fb))
+        if method == "diag-dominance":
+            lower = max(0.0, float((response - alias_norms).min()))
+            upper = float((response + alias_norms).max())
+            bounds = finite_frames.Bounds(lower, upper)
+        else:
+            bounds = finite_frames.frame_bounds(_atom_frame(fb))
     return FrameReport(
         frequency_response=response,
         alias_norms=alias_norms,
@@ -246,12 +238,7 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
     out = np.zeros(L, dtype=np.complex128)
     for H, d in zip(filters, decs):
         d = int(d)
-        hop = L // d
-        folded = np.zeros(L, dtype=np.complex128)
-        shifted = H * X
-        for s in range(d):
-            folded += shifted if s == 0 else np.roll(shifted, s * hop)
-        out += np.conj(H) * folded / d
+        out += np.conj(H) * np.tile(_fold(H * X, d), d) / d
     return np.fft.ifft(out)
 
 

@@ -131,8 +131,7 @@ def scale_value(scale: AuditoryScale, freq):
     if scale.kind == "erb":
         u = 9.265 * np.log1p(f / _ERB_Q)
     else:
-        r = f / 7500.0
-        u = 13.0 * np.arctan(0.00076 * f) + 3.5 * np.arctan(r * r)
+        u = _bark_value(f)
     return _scalar_like(freq, u)
 
 

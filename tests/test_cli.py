@@ -168,6 +168,21 @@ class TestExitCodes:
         code = cli.main(["analyze", str(fake), str(tmp_path / "c.afc")])
         assert code == 65
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "command, output",
+        [("analyze", "c.afc"), ("irrelevance", "o.wav"), ("spectrogram", "o.csv")],
+    )
+    def test_non_finite_samples_are_data_error(self, tmp_path, capsys, command, output, bad):
+        wav = tmp_path / "in.wav"
+        x = make_wav(wav).astype(np.float32)
+        x[100] = bad
+        wavfile.write(wav, 8000, x)
+        out = tmp_path / output
+        assert cli.main([command, str(wav), str(out)]) == 65
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectrogram:
     def test_csv_layout(self, tmp_path):

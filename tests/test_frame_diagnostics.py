@@ -7,6 +7,8 @@ frequency_response and alias_components. Nothing in that construction shares
 code with the functions under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ def dense_operator(fb):
         e[j] = 1.0
         S[:, j] = audfb.synthesize(adj, audfb.analyze(fb, e))
     return S
+
+
+def rolled_walnut(fb, x):
+    """Non-painless Walnut sum with the alias fold written as d_k rolls."""
+    L = fb.signal_length
+    X = np.fft.fft(x)
+    out = np.zeros(L, dtype=np.complex128)
+    for H, d in zip(*filterbank.expanded_filters(fb)):
+        d = int(d)
+        shifted = H * X
+        folded = np.zeros(L, dtype=np.complex128)
+        for s in range(d):
+            folded += np.roll(shifted, s * (L // d))
+        out += np.conj(H) * folded / d
+    return np.fft.ifft(out)
 
 
 def small_painless_bank(L=512):
@@ -239,6 +256,21 @@ class TestWalnutApply:
         fast = audfb.walnut_apply(fb, x)
         scale = np.max(np.abs(composed))
         np.testing.assert_allclose(fast, composed, atol=1e-11 * scale)
+
+    def test_non_painless_one_sided(self, rng):
+        """Doubled decimations on an audlet bank: the one-sided alias fold."""
+        fb = audfb.build_audlet(
+            0.0, 1000.0, 3.0, audfb.ERB, sample_rate=2000.0, signal_length=256
+        )
+        fb = dataclasses.replace(fb, decimations=2 * fb.decimations)
+        assert not audfb.painless_check(fb)
+        x = rng.standard_normal(256)
+        composed = audfb.synthesize(audfb.adjoint_bank(fb), audfb.analyze(fb, x))
+        fast = audfb.walnut_apply(fb, x)
+        scale = np.max(np.abs(composed))
+        np.testing.assert_allclose(fast, composed, atol=1e-11 * scale)
+        # at most two folded terms are nonzero per bin, so the order is moot
+        assert np.array_equal(fast, rolled_walnut(fb, x))
 
     def test_zero_in_zero_out(self, default_erb_bank):
         out = audfb.walnut_apply(default_erb_bank, np.zeros(16384))
