@@ -239,6 +239,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise _CliFailure(_EX_USAGE, f"--tolerance must be positive and finite: {args.tolerance}")
     try:
         fb, coefficients, trim_length = container.read_coefficients(args.input)
     except ContainerError as exc:

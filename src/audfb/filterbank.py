@@ -1,10 +1,20 @@
 """Auditory-scale and Gabor filter banks on C^L, all in the frequency domain.
 
-A bank stores one frequency-domain transfer H_k of length L per channel plus
+A bank holds one frequency-domain transfer H_k of length L per channel plus
 a per-channel downsampling factor d_k (every d_k divides L). Analysis of a
 signal x is y_k = downsample(idft(dft(x) * H_k), d_k); synthesis of subband
 coefficients c is the adjoint-shaped sum over channels of
 idft(dft(upsample(c_k, d_k)) * G_k) with the stored filters used as G_k.
+
+Storage: each H_k is kept as its circular cover, the shortest circular
+interval of bins outside which H_k vanishes, as a start bin plus the values
+on that interval; L is stored with the covers. An auditory filter lives on
+about L/d_k bins, so construction, analysis, synthesis, the frequency
+response, the painless test and the dual all cost time and memory in
+proportion to the total support and the coefficient count, not to
+channels x L. ``FilterBank.filters`` is a dense (channels, L) view of the
+covers, built on first read; a bank constructed from a dense array keeps
+only the covers of its rows.
 
 Two layouts exist:
 
@@ -16,7 +26,7 @@ Two layouts exist:
   synthesis completes the mirror terms as conj(u_k), which is linear over
   real scalars and reconstructs real inputs exactly. The full atom system
   (stored plus mirror channels) is what diagnostics and frame statements
-  refer to; :func:`expanded_filters` materializes it and
+  refer to; :func:`expanded_filters` materializes it densely and
   :func:`frequency_response` gives its diagonal term H0.
 
 Subband coefficients are plain lists of 1-D complex arrays, channel k having
@@ -26,7 +36,7 @@ L/d_k entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -89,41 +99,83 @@ class BankConfig:
     parseval: bool = False
 
 
-@dataclass
+@dataclass(init=False)
 class FilterBank:
-    """Frequency-domain filter bank; see the module docstring for semantics."""
+    """Frequency-domain filter bank; see the module docstring for semantics.
 
-    filters: np.ndarray
+    Construct it from dense ``filters`` of shape (channels, L), which are
+    reduced to one circular cover per row and not kept. ``filters`` reads
+    back a dense, read-only (channels, L) view of the covers that is built
+    on first access and cached. ``dataclasses.replace`` keeps the covers
+    unless it is given new ``filters``.
+    """
+
     decimations: np.ndarray
     sample_rate: float
     one_sided: bool
     center_frequencies: np.ndarray | None = None
     dilations: np.ndarray | None = None
     config: BankConfig | None = None
+    # L and one (start bin, values) cover per channel
+    _length: int = field(default=0, repr=False)
+    _covers: tuple = field(default=(), repr=False)
 
-    def __post_init__(self):
-        self.filters = np.ascontiguousarray(self.filters, dtype=np.complex128)
-        if self.filters.ndim != 2 or self.filters.shape[0] < 1:
+    def __init__(
+        self,
+        filters=None,
+        *,
+        decimations,
+        sample_rate,
+        one_sided,
+        center_frequencies=None,
+        dilations=None,
+        config=None,
+        _length=0,
+        _covers=(),
+    ):
+        if filters is not None:
+            filters = np.asarray(filters, dtype=np.complex128)
+            if filters.ndim != 2 or filters.shape[0] < 1:
+                raise ShapeError("filters must be a non-empty (channels, L) array")
+            if not np.all(np.isfinite(filters)):
+                raise DomainError("filters must be finite-valued")
+            _length = filters.shape[1]
+            _covers = [_cover_of(row) for row in filters]
+        elif not _covers:
             raise ShapeError("filters must be a non-empty (channels, L) array")
-        if not np.all(np.isfinite(self.filters)):
-            raise DomainError("filters must be finite-valued")
-        self.decimations = np.asarray(self.decimations, dtype=np.int64)
-        if self.decimations.shape != (self.filters.shape[0],):
+        self._length = int(_length)
+        self._covers = tuple(_covers)
+        self._view = None
+        self.decimations = np.asarray(decimations, dtype=np.int64)
+        if self.decimations.shape != (len(self._covers),):
             raise ShapeError("need one downsampling factor per channel")
-        L = self.filters.shape[1]
+        L = self._length
         for d in self.decimations:
             if d < 1 or L % int(d) != 0:
                 raise ShapeError(f"downsampling factor {int(d)} must divide L={L}")
-        if self.one_sided and self.filters.shape[0] < 2:
+        if one_sided and len(self._covers) < 2:
             raise ShapeError("a one-sided bank needs at least DC and Nyquist channels")
+        self.sample_rate = sample_rate
+        self.one_sided = one_sided
+        self.center_frequencies = center_frequencies
+        self.dilations = dilations
+        self.config = config
+
+    @property
+    def filters(self) -> np.ndarray:
+        """Dense (channels, L) transfers, zero outside each channel's cover."""
+        if self._view is None:
+            self._view = _dense(self._length, self._covers)
+            self._view.flags.writeable = False
+        return self._view
 
     @property
     def n_channels(self) -> int:
-        return self.filters.shape[0]
+        return len(self._covers)
 
     @property
     def signal_length(self) -> int:
-        return self.filters.shape[1]
+        return self._length
 
     def subband_lengths(self) -> list[int]:
         L = self.signal_length
@@ -161,23 +213,90 @@ def circular_cover(mask: np.ndarray) -> tuple[int, int]:
     return (start, int(L - gaps[i]))
 
 
+def _take(a: np.ndarray, start: int, n: int) -> np.ndarray:
+    """a[(start + t) mod a.size] for t = 0 .. n-1."""
+    return a.take(np.arange(start, start + n), mode="wrap")
+
+
+def _add_at(out: np.ndarray, start: int, values: np.ndarray) -> None:
+    """out[(start + t) mod L] += values[t], for at most L values."""
+    head = min(values.size, out.size - start)
+    out[start : start + head] += values[:head]
+    out[: values.size - head] += values[head:]
+
+
+def _cover_of(H: np.ndarray) -> tuple[int, np.ndarray]:
+    """(start, values) of the circular cover of a dense transfer."""
+    start, n = circular_cover(H != 0.0)
+    return start, _take(H, start, n)
+
+
+def _dense(L: int, covers) -> np.ndarray:
+    """Dense (channels, L) transfers from (start, values, ...) covers."""
+    out = np.zeros((len(covers), L), dtype=np.complex128)
+    for row, (start, values, *_) in zip(out, covers):
+        _add_at(row, start, values)
+    return out
+
+
+def _mirror(start: int, values: np.ndarray, L: int) -> tuple[int, np.ndarray]:
+    """Cover of the mirror spectrum conj(V[(-j) mod L]) of the cover of V."""
+    return (1 - start - values.size) % L, np.conj(values[::-1])
+
+
+def _expanded_covers(fb: FilterBank) -> list[tuple[int, np.ndarray, int]]:
+    """(start, values, d) of every channel of the full system: the stored
+    channels, then for a one-sided bank the mirror of every mid channel."""
+    out = [(start, values, int(d)) for (start, values), d in zip(fb._covers, fb.decimations)]
+    if fb.one_sided:
+        L = fb.signal_length
+        out += [(*_mirror(start, values, L), d) for start, values, d in out[1:-1]]
+    return out
+
+
+def _fold(values: np.ndarray, start: int, N: int) -> np.ndarray:
+    """Alias fold onto N bins (N divides L) of the spectrum V that equals
+    ``values`` on the circular interval from bin ``start`` and vanishes
+    elsewhere: sum_s V[i + s*N].
+
+    The interval is padded to whole rows of N bins and summed row by row, so
+    a cover of at most N bins folds without adding two nonzero terms.
+    """
+    offset = start % N
+    rows = -(-(offset + values.size) // N)
+    padded = np.zeros(rows * N, dtype=np.complex128)
+    padded[offset : offset + values.size] = values
+    return padded.reshape(rows, N).sum(axis=0)
+
+
 def _divisors(L: int) -> np.ndarray:
-    out = [d for d in range(1, L + 1) if L % d == 0]
-    return np.asarray(out, dtype=np.int64)
+    candidates = np.arange(1, L + 1, dtype=np.int64)
+    return candidates[L % candidates == 0]
 
 
-def _signed_offsets(L: int, sample_rate: float, center: float) -> np.ndarray:
-    """Signed circular frequency distance of every bin from ``center`` (Hz).
+def _window_cover(window, half_width: float, L: int, sample_rate: float,
+                  center: float, gamma: float) -> tuple[int, np.ndarray]:
+    """Cover of the bins where window(offset / gamma) / sqrt(gamma) > 0,
+    offset being each bin's signed circular distance (Hz) from ``center``.
 
-    Computed in bin units first; when the center falls exactly on a bin (DC
-    and, for even L, Nyquist) the bin arithmetic is integer-exact, which makes
-    those filters bit-exactly even under j -> -j.
+    Only the bins within the window's reach of the center are evaluated.
+    Distances are computed in bin units first; when the center falls exactly
+    on a bin (DC and, for even L, Nyquist) the bin arithmetic is
+    integer-exact, which makes those filters bit-exactly even under j -> -j.
     """
     c_bins = center * L / sample_rate
     if abs(c_bins - round(c_bins)) < 1e-9:
         c_bins = float(round(c_bins))
-    t = (np.arange(L) - c_bins + L / 2.0) % L - L / 2.0
-    return t * (sample_rate / L)
+    reach = half_width * gamma * L / sample_rate
+    first, count = 0, L
+    if reach < L / 2.0 - 2.0:
+        first = math.floor(c_bins - reach) - 1
+        count = math.ceil(c_bins + reach) + 2 - first
+    j = np.arange(first, first + count) % L
+    t = (j - c_bins + L / 2.0) % L - L / 2.0
+    values = window(t * (sample_rate / L) / gamma) / math.sqrt(gamma)
+    start, n = circular_cover(values > 0.0)
+    return int(j[start]), _take(values, start, n)
 
 
 def build_audlet(
@@ -227,10 +346,10 @@ def build_audlet(
     """
     if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
         raise DomainError("need 0 <= f_min < f_max <= sample_rate/2")
-    if channels_per_unit <= 0:
-        raise DomainError("channels_per_unit must be positive")
-    if r_bw <= 0 or r_d <= 0:
-        raise DomainError("r_bw and r_d must be positive")
+    if not (math.isfinite(channels_per_unit) and channels_per_unit > 0):
+        raise DomainError("channels_per_unit must be positive and finite")
+    if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d)):
+        raise DomainError("r_bw and r_d must be positive and finite")
     if prototype not in PROTOTYPES:
         raise DomainError(f"unknown prototype {prototype!r}")
     L = int(signal_length)
@@ -262,32 +381,30 @@ def build_audlet(
     all_gammas.append(2.0 * (nyq - f_last) + gamma_last)
 
     n = len(all_centers)
-    filters = np.zeros((n, L), dtype=np.complex128)
     covers = []
     # exact equal-energy normalization to the analytic target (L/f_s)*||w||^2
     target = (L / sample_rate) * norm_sq
     for k in range(n):
-        gamma = all_gammas[k]
-        offs = _signed_offsets(L, sample_rate, all_centers[k])
-        vals = window(offs / gamma) / math.sqrt(gamma)
-        if not np.any(vals > 0.0):
+        start, vals = _window_cover(
+            window, half_width, L, sample_rate, all_centers[k], all_gammas[k]
+        )
+        if vals.size == 0:
             raise UnsupportedConfigError(
                 f"channel {k} (center {all_centers[k]:.6g} Hz) has no nonzero bins; "
                 "increase signal_length or r_bw"
             )
-        filters[k] = vals * math.sqrt(target / float(np.sum(vals**2)))
-        covers.append(circular_cover(vals > 0.0))
+        scaled = vals * math.sqrt(target / float(np.sum(vals**2)))
+        covers.append((start, scaled.astype(np.complex128)))
 
     divisors = _divisors(L)
     decimations = np.empty(n, dtype=np.int64)
     for k in range(n):
-        cap_painless = L // covers[k][1]
+        cap_painless = L // covers[k][1].size
         cap_rate = math.floor(r_d * sample_rate * r_bw / all_gammas[k])
         cap = max(1, min(cap_painless, cap_rate))
         decimations[k] = int(divisors[divisors <= cap][-1])
 
     return FilterBank(
-        filters=filters,
         decimations=decimations,
         sample_rate=float(sample_rate),
         one_sided=True,
@@ -303,6 +420,8 @@ def build_audlet(
             prototype=prototype,
             dc_filter=bool(dc_filter),
         ),
+        _length=L,
+        _covers=covers,
     )
 
 
@@ -351,11 +470,6 @@ def _check_coefficients(fb: FilterBank, coefficients) -> list[np.ndarray]:
     return out
 
 
-def _fold(V: np.ndarray, d: int) -> np.ndarray:
-    """Alias fold of a length-L spectrum onto L/d bins: sum_s V[i + s*L/d]."""
-    return V.reshape(d, V.shape[0] // d).sum(axis=0)
-
-
 def analyze(fb: FilterBank, x) -> list[np.ndarray]:
     """Subband coefficients y_k = downsample(idft(dft(x) * H_k), d_k).
 
@@ -368,16 +482,13 @@ def analyze(fb: FilterBank, x) -> list[np.ndarray]:
     if not np.all(np.isfinite(x)):
         raise DomainError("signal must be finite")
     X = np.fft.fft(x)
+    L = fb.signal_length
     out = []
-    for k in range(fb.n_channels):
-        d = int(fb.decimations[k])
-        out.append(np.fft.ifft(_fold(X * fb.filters[k], d) / d))
+    for (start, values), d in zip(fb._covers, fb.decimations):
+        d = int(d)
+        spectrum = _take(X, start, values.size) * values
+        out.append(np.fft.ifft(_fold(spectrum, start, L // d) / d))
     return out
-
-
-def _mirror_spectrum(V: np.ndarray) -> np.ndarray:
-    """Spectrum of conj(v) given the spectrum of v: conj(V[(-j) mod L])."""
-    return np.conj(np.roll(V[::-1], 1))
 
 
 def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
@@ -392,20 +503,18 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
     L = fb.signal_length
     total = np.zeros(L, dtype=np.complex128)
     last = fb.n_channels - 1
-    for k, c in enumerate(coefficients):
-        d = int(fb.decimations[k])
-        spectrum_up = np.tile(np.fft.fft(c), d)
-        term = spectrum_up * fb.filters[k]
-        total += term
+    for k, (c, (start, values)) in enumerate(zip(coefficients, fb._covers)):
+        term = _take(np.fft.fft(c), start, values.size) * values
+        _add_at(total, start, term)
         if fb.one_sided and 0 < k < last:
-            total += _mirror_spectrum(term)
+            _add_at(total, *_mirror(start, term, L))
     return np.fft.ifft(total)
 
 
 def adjoint_bank(fb: FilterBank) -> FilterBank:
     """Bank with filters conj(H_k): synthesizing analysis coefficients with it
     applies the frame operator (on real signals for one-sided banks)."""
-    return replace(fb, filters=np.conj(fb.filters))
+    return replace(fb, _covers=[(start, np.conj(values)) for start, values in fb._covers])
 
 
 def expanded_filters(fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
@@ -413,24 +522,18 @@ def expanded_filters(fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
 
     Full-layout banks return their channels unchanged. One-sided banks append
     the conjugate mirror of every mid channel: H'[j] = conj(H[(-j) mod L]).
+    The filters come back as a new dense (channels, L) array.
     """
-    if not fb.one_sided:
-        return fb.filters, fb.decimations
-    mids = range(1, fb.n_channels - 1)
-    mirrors = np.array([_mirror_spectrum(fb.filters[k]) for k in mids])
-    if mirrors.size == 0:
-        return fb.filters, fb.decimations
-    filters = np.concatenate([fb.filters, mirrors], axis=0)
-    decs = np.concatenate([fb.decimations, fb.decimations[1:-1]])
-    return filters, decs
+    covers = _expanded_covers(fb)
+    decimations = np.array([d for *_, d in covers], dtype=np.int64)
+    return _dense(fb.signal_length, covers), decimations
 
 
 def frequency_response(fb: FilterBank) -> np.ndarray:
     """Diagonal term H0[j] = sum_k |H_k[j]|^2 / d_k over the full system."""
-    filters, decs = expanded_filters(fb)
     response = np.zeros(fb.signal_length)
-    for H, d in zip(filters, decs):
-        response += (H.real**2 + H.imag**2) / int(d)
+    for start, values, d in _expanded_covers(fb):
+        _add_at(response, start, (values.real**2 + values.imag**2) / d)
     return response
 
 
@@ -443,4 +546,5 @@ def parseval_normalize(fb: FilterBank) -> FilterBank:
     response = frequency_response(fb)
     scale = np.where(response > 0.0, 1.0 / np.sqrt(np.where(response > 0.0, response, 1.0)), 0.0)
     config = replace(fb.config, parseval=True) if fb.config is not None else None
-    return replace(fb, filters=fb.filters * scale, config=config)
+    covers = [(start, values * _take(scale, start, values.size)) for start, values in fb._covers]
+    return replace(fb, config=config, _covers=covers)

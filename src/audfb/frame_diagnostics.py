@@ -28,7 +28,15 @@ import numpy as np
 from . import finite_frames
 from .dsp_core import _as_signal
 from .errors import DomainError, ShapeError, UnsupportedConfigError
-from .filterbank import FilterBank, _fold, circular_cover, expanded_filters, frequency_response
+from .filterbank import (
+    FilterBank,
+    _add_at,
+    _expanded_covers,
+    _fold,
+    _take,
+    expanded_filters,
+    frequency_response,
+)
 
 __all__ = [
     "DENSE_EIGEN_MAX_LENGTH",
@@ -121,28 +129,44 @@ def alias_components(fb: FilterBank) -> np.ndarray:
     painless banks every entry is exactly zero (supports of the shifted
     copies are disjoint).
     """
-    filters, decs = expanded_filters(fb)
+    covers = _expanded_covers(fb)
     L = fb.signal_length
-    D = _lcm_decimation(decs)
-    hop = L // D
+    D = _lcm_decimation(d for *_, d in covers)
     out = np.zeros((D - 1, L), dtype=np.complex128)
-    for H, d in zip(filters, decs):
-        d = int(d)
-        q = D // d
-        for r in range(q, D, q):
-            out[r - 1] += np.conj(H) * np.roll(H, r * hop) / d
+    for start, values, d in covers:
+        for i, at, product in _shifted_products((start, np.conj(values)), (start, values), d, L):
+            if i:
+                _add_at(out[i * (D // d) - 1], at, product / d)
     return out
+
+
+def _shifted_products(a, b, d: int, L: int):
+    """Nonzero runs of A[j] * B[(j - i*L/d) mod L] over the shifts i = 0 .. d-1.
+
+    ``a`` and ``b`` are covers (start, values) of A and B. Yields
+    (i, start, product) for every circular run of bins where the cover of A
+    meets the cover of B shifted by i*L/d; shifts where they do not meet
+    are skipped.
+    """
+    (start_a, va), (start_b, vb) = a, b
+    na, nb = va.size, vb.size
+    # where A's cover starts inside the shifted cover of B
+    offsets = (start_a - start_b - (L // d) * np.arange(d)) % L
+    for i in np.flatnonzero((offsets < nb) | (offsets > L - na)).tolist():
+        e = int(offsets[i])
+        if e < nb:
+            n = min(na, nb - e)
+            yield i, start_a, va[:n] * vb[e : e + n]
+        if L - e < na:
+            n = min(na - (L - e), nb)
+            yield i, (start_a + L - e) % L, va[L - e : L - e + n] * vb[:n]
 
 
 def painless_check(fb: FilterBank) -> bool:
     """True when every channel's support fits one circular interval of at
     most L/d_k bins, which makes the frame operator a spectral multiplier."""
     L = fb.signal_length
-    for H, d in zip(fb.filters, fb.decimations):
-        _, length = circular_cover(np.abs(H) > 0.0)
-        if length > L // int(d):
-            return False
-    return True
+    return all(values.size <= L // int(d) for (_, values), d in zip(fb._covers, fb.decimations))
 
 
 def _atom_frame(fb: FilterBank) -> finite_frames.FiniteFrame:
@@ -234,11 +258,10 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
     X = np.fft.fft(x)
     if painless_check(fb):
         return np.fft.ifft(frequency_response(fb) * X)
-    filters, decs = expanded_filters(fb)
     out = np.zeros(L, dtype=np.complex128)
-    for H, d in zip(filters, decs):
-        d = int(d)
-        out += np.conj(H) * np.tile(_fold(H * X, d), d) / d
+    for start, values, d in _expanded_covers(fb):
+        folded = _fold(_take(X, start, values.size) * values, start, L // d)
+        _add_at(out, start, np.conj(values) * _take(folded, start, values.size) / d)
     return np.fft.ifft(out)
 
 
@@ -266,25 +289,18 @@ def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
     if np.any(fb_ana.decimations != fb_syn.decimations):
         raise ShapeError("analysis and synthesis banks have different decimations")
 
-    H_all, decs = expanded_filters(fb_ana)
-    G_all, _ = expanded_filters(fb_syn)
     L = fb_ana.signal_length
-    D = _lcm_decimation(decs)
-    hop = L // D
-
-    T0 = np.zeros(L, dtype=np.complex128)
-    rest = 0.0
-    for r in range(D):
-        T = np.zeros(L, dtype=np.complex128)
-        for H, G, d in zip(H_all, G_all, decs):
-            d = int(d)
-            if r % (D // d):
-                continue
-            T += G * (H if r == 0 else np.roll(H, r * hop)) / d
-        if r == 0:
-            T0 = T
-        else:
-            rest = max(rest, float(np.abs(T).max()))
+    analysis = _expanded_covers(fb_ana)
+    D = _lcm_decimation(d for *_, d in analysis)
+    terms = {}
+    for (start_h, vh, d), (start_g, vg, _) in zip(analysis, _expanded_covers(fb_syn)):
+        for i, at, product in _shifted_products((start_g, vg), (start_h, vh), d, L):
+            r = i * (D // d)
+            if r not in terms:
+                terms[r] = np.zeros(L, dtype=np.complex128)
+            _add_at(terms[r], at, product / d)
+    T0 = terms.pop(0, np.zeros(L, dtype=np.complex128))
+    rest = max((float(np.abs(T).max()) for T in terms.values()), default=0.0)
 
     # Best delay: minimize max_j |T0[j] e^(2*pi*i*j*l/L) - 1| over l. The
     # ramp advances by one multiplication per candidate and is recomputed
@@ -319,20 +335,20 @@ def equivalent_uniform(fb: FilterBank) -> FilterBank:
     UnsupportedConfigError
         D exceeds the signal length.
     """
-    filters, decs = expanded_filters(fb)
+    covers = _expanded_covers(fb)
     L = fb.signal_length
-    D = _lcm_decimation(decs)
+    D = _lcm_decimation(d for *_, d in covers)
     if D > L:
         raise UnsupportedConfigError(f"common decimation {D} exceeds signal length {L}")
-    j = np.arange(L)
     rows = []
-    for H, d in zip(filters, decs):
-        d = int(d)
+    for start, values, d in covers:
+        j = (start + np.arange(values.size)) % L
         for shift in range(0, D, d):
-            rows.append(H * np.exp(-2j * np.pi * ((j * shift) % L) / L))
+            rows.append((start, values * np.exp(-2j * np.pi * ((j * shift) % L) / L)))
     return FilterBank(
-        filters=np.array(rows),
         decimations=np.full(len(rows), D, dtype=np.int64),
         sample_rate=fb.sample_rate,
         one_sided=False,
+        _length=L,
+        _covers=rows,
     )

@@ -85,8 +85,9 @@ class IrrelevanceModel:
     def __post_init__(self):
         if not math.isfinite(self.offset_db):
             raise DomainError("offset_db must be finite")
-        if not (self.spread_lower_db_per_unit > 0.0 and self.spread_upper_db_per_unit > 0.0):
-            raise DomainError("spread slopes must be positive")
+        slopes = (self.spread_lower_db_per_unit, self.spread_upper_db_per_unit)
+        if not all(math.isfinite(s) and s > 0.0 for s in slopes):
+            raise DomainError("spread slopes must be positive and finite")
 
 
 def apply_multiplier(m: MaskSymbol, fb_syn: FilterBank, fb_ana: FilterBank, x) -> np.ndarray:

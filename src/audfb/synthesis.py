@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotAFrameError, UnsupportedConfigError
-from .filterbank import FilterBank, adjoint_bank, synthesize
+from .filterbank import FilterBank, _take, adjoint_bank, synthesize
 from .frame_diagnostics import frequency_response, painless_check, walnut_apply
 
 __all__ = [
@@ -97,7 +97,11 @@ def painless_dual(fb: FilterBank) -> FilterBank:
     response = frequency_response(fb)
     if float(response.min()) <= 0.0:
         raise NotAFrameError("frequency response vanishes: the bank is not a frame")
-    return replace(fb, filters=np.conj(fb.filters) / response, config=None)
+    covers = [
+        (start, np.conj(values) / _take(response, start, values.size))
+        for start, values in fb._covers
+    ]
+    return replace(fb, config=None, _covers=covers)
 
 
 def _rhs(fb: FilterBank, coefficients) -> np.ndarray:

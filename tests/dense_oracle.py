@@ -1,0 +1,127 @@
+"""Dense reference implementations of the filter-bank spectral formulas.
+
+Each function works on the dense (channels, L) transfers ``fb.filters`` and
+evaluates its formula over all L bins, as the library did before it stored
+filters as circular covers. The tests compare the cover-based library
+against these, so nothing here may call the library's spectral code.
+"""
+
+import math
+
+import numpy as np
+
+from audfb import filterbank
+
+
+def _mirror_spectrum(V):
+    """Spectrum of conj(v) given the spectrum of v: conj(V[(-j) mod L])."""
+    return np.conj(np.roll(V[::-1], 1))
+
+
+def _fold(V, d):
+    """sum_s V[i + s*L/d] over the d alias copies."""
+    return V.reshape(d, V.shape[0] // d).sum(axis=0)
+
+
+def _cover_length(H):
+    return filterbank.circular_cover(np.abs(H) > 0.0)[1]
+
+
+def audlet_filters(fb):
+    """Dense filters and decimations of ``build_audlet`` from the bank's
+    centers and dilations, every window evaluated on all L bins."""
+    cfg = fb.config
+    window, _, norm_sq = filterbank.PROTOTYPES[cfg.prototype]
+    L, fs = fb.signal_length, fb.sample_rate
+    target = (L / fs) * norm_sq
+    filters = np.zeros((fb.n_channels, L), dtype=np.complex128)
+    for k, (center, gamma) in enumerate(zip(fb.center_frequencies, fb.dilations)):
+        c_bins = center * L / fs
+        if abs(c_bins - round(c_bins)) < 1e-9:
+            c_bins = float(round(c_bins))
+        offs = ((np.arange(L) - c_bins + L / 2.0) % L - L / 2.0) * (fs / L)
+        vals = window(offs / gamma) / math.sqrt(gamma)
+        filters[k] = vals * math.sqrt(target / float(np.sum(vals**2)))
+    divisors = np.array([d for d in range(1, L + 1) if L % d == 0])
+    decimations = np.empty(fb.n_channels, dtype=np.int64)
+    for k, gamma in enumerate(fb.dilations):
+        cap_rate = math.floor(cfg.r_d * fs * cfg.r_bw / gamma)
+        cap = max(1, min(L // _cover_length(filters[k]), cap_rate))
+        decimations[k] = divisors[divisors <= cap][-1]
+    return filters, decimations
+
+
+def expanded(fb):
+    """Full channel system: stored filters, then mirrors of the mid channels."""
+    if not fb.one_sided:
+        return fb.filters, fb.decimations
+    mirrors = [_mirror_spectrum(fb.filters[k]) for k in range(1, fb.n_channels - 1)]
+    filters = np.concatenate([fb.filters, np.array(mirrors).reshape(-1, fb.signal_length)])
+    return filters, np.concatenate([fb.decimations, fb.decimations[1:-1]])
+
+
+def analyze(fb, x):
+    X = np.fft.fft(x)
+    return [
+        np.fft.ifft(_fold(X * H, int(d)) / int(d))
+        for H, d in zip(fb.filters, fb.decimations)
+    ]
+
+
+def synthesize(fb, coefficients):
+    total = np.zeros(fb.signal_length, dtype=np.complex128)
+    last = fb.n_channels - 1
+    for k, (c, H, d) in enumerate(zip(coefficients, fb.filters, fb.decimations)):
+        term = np.tile(np.fft.fft(c), int(d)) * H
+        total += term
+        if fb.one_sided and 0 < k < last:
+            total += _mirror_spectrum(term)
+    return np.fft.ifft(total)
+
+
+def frequency_response(fb):
+    response = np.zeros(fb.signal_length)
+    for H, d in zip(*expanded(fb)):
+        response += (H.real**2 + H.imag**2) / int(d)
+    return response
+
+
+def painless_check(fb):
+    L = fb.signal_length
+    return all(_cover_length(H) <= L // int(d) for H, d in zip(fb.filters, fb.decimations))
+
+
+def painless_dual_filters(fb):
+    return np.conj(fb.filters) / frequency_response(fb)
+
+
+def parseval_filters(fb):
+    response = frequency_response(fb)
+    scale = np.where(response > 0.0, 1.0 / np.sqrt(np.where(response > 0.0, response, 1.0)), 0.0)
+    return fb.filters * scale
+
+
+def walnut_apply(fb, x):
+    X = np.fft.fft(x)
+    if painless_check(fb):
+        return np.fft.ifft(frequency_response(fb) * X)
+    out = np.zeros(fb.signal_length, dtype=np.complex128)
+    for H, d in zip(*expanded(fb)):
+        d = int(d)
+        out += np.conj(H) * np.tile(_fold(H * X, d), d) / d
+    return np.fft.ifft(out)
+
+
+def alias_components(fb):
+    """Off-diagonal Walnut terms with one np.roll per channel and alias index."""
+    filters, decs = expanded(fb)
+    L = fb.signal_length
+    D = math.lcm(*(int(d) for d in decs))
+    hop = L // D
+    out = np.zeros((D - 1, L), dtype=np.complex128)
+    for H, d in zip(filters, decs):
+        d = int(d)
+        q = D // d
+        for r in range(q, D, q):
+            out[r - 1] += np.conj(H) * np.roll(H, r * hop) / d
+    return out

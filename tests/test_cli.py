@@ -184,6 +184,29 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--channels-per-unit", "--rd"])
+    def test_non_finite_bank_flag_is_usage_error(self, capsys, flag, value):
+        code = cli.main(["diagnose", "--sample-rate", "8000", "--length", "4096", flag, value])
+        assert code == 64
+        assert "bank configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, method, tolerance):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        coeffs = tmp_path / "c.afc"
+        out = tmp_path / "o.wav"
+        assert cli.main(["analyze", str(wav), str(coeffs)]) == 0
+        code = cli.main(
+            ["synthesize", str(coeffs), str(out), "--method", method, f"--tolerance={tolerance}"]
+        )
+        assert code == 64
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSpectrogram:
     def test_csv_layout(self, tmp_path):
         wav = tmp_path / "in.wav"
@@ -312,3 +335,13 @@ class TestIrrelevance:
             ["irrelevance", str(wav), str(tmp_path / "o.wav"), "--spread-lower", "-5"]
         )
         assert code == 64
+
+    @pytest.mark.parametrize("flag", ["--spread-lower", "--spread-upper"])
+    def test_infinite_spread_is_usage_error(self, tmp_path, capsys, flag):
+        wav = tmp_path / "in.wav"
+        make_wav(wav)
+        out = tmp_path / "o.wav"
+        code = cli.main(["irrelevance", str(wav), str(out), flag, "inf"])
+        assert code == 64
+        assert "masking model" in capsys.readouterr().err
+        assert not out.exists()

@@ -307,6 +307,16 @@ def test_build_audlet_rejects_bad_parameters(kwargs):
         audfb.build_audlet(f_min, f_max, v, audfb.ERB, **full)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["channels_per_unit", "r_bw", "r_d"])
+def test_build_audlet_rejects_non_finite_parameters(name, value):
+    full = dict(channels_per_unit=2.0, r_bw=1.0, r_d=1.0)
+    full[name] = value
+    v = full.pop("channels_per_unit")
+    with pytest.raises(DomainError):
+        audfb.build_audlet(0.0, 4000.0, v, audfb.ERB, sample_rate=8000.0, signal_length=512, **full)
+
+
 def test_build_audlet_rejects_empty_support():
     """A channel whose support contains no spectral bin cannot be built."""
     with pytest.raises(UnsupportedConfigError):

@@ -296,3 +296,9 @@ class TestIrrelevanceModel:
             masking.IrrelevanceModel(spread_lower_db_per_unit=0.0)
         with pytest.raises(DomainError):
             masking.IrrelevanceModel(spread_upper_db_per_unit=-3.0)
+
+    @pytest.mark.parametrize("slope", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["spread_lower_db_per_unit", "spread_upper_db_per_unit"])
+    def test_spreads_must_be_finite(self, name, slope):
+        with pytest.raises(DomainError):
+            masking.IrrelevanceModel(**{name: slope})
