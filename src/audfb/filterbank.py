@@ -146,6 +146,7 @@ class FilterBank:
         self._length = int(_length)
         self._covers = tuple(_covers)
         self._view = None
+        self._walnut = None  # Walnut terms {r: H_r}, filled by frame_diagnostics
         self.decimations = np.asarray(decimations, dtype=np.int64)
         if self.decimations.shape != (len(self._covers),):
             raise ShapeError("need one downsampling factor per channel")

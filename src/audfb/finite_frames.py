@@ -90,9 +90,10 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _eigh_operator(frame: FiniteFrame):
-    w, u = np.linalg.eigh(frame_operator(frame))
-    return np.maximum(w, 0.0), u
+def _operator_bounds(S: np.ndarray) -> Bounds:
+    """Extreme eigenvalues of the Hermitian matrix S, clamped at 0."""
+    w = np.linalg.eigvalsh(S)
+    return Bounds(max(float(w[0]), 0.0), max(float(w[-1]), 0.0))
 
 
 def frame_bounds(frame: FiniteFrame) -> Bounds:
@@ -100,13 +101,13 @@ def frame_bounds(frame: FiniteFrame) -> Bounds:
 
     A lower bound of 0 means the family does not span C^L (not a frame).
     """
-    w, _ = _eigh_operator(frame)
-    return Bounds(float(w[0]), float(w[-1]))
+    return _operator_bounds(frame_operator(frame))
 
 
 def _inverse_power(frame: FiniteFrame, exponent: float) -> np.ndarray:
     """S^exponent via eigendecomposition; raises if S is numerically singular."""
-    w, u = _eigh_operator(frame)
+    w, u = np.linalg.eigh(frame_operator(frame))
+    w = np.maximum(w, 0.0)
     if w[-1] <= 0.0 or w[0] <= _RANK_TOL * w[-1]:
         raise NotAFrameError("frame operator is singular: the family does not span the space")
     return (u * w**exponent) @ u.conj().T
@@ -187,5 +188,5 @@ def is_riesz_basis(frame: FiniteFrame) -> bool:
     """True iff the family is a basis: N = L and the frame operator is regular."""
     if frame.n_vectors != frame.dimension:
         return False
-    w, _ = _eigh_operator(frame)
-    return bool(w[0] > _RANK_TOL * w[-1] and w[-1] > 0.0)
+    lower, upper = frame_bounds(frame)
+    return bool(lower > _RANK_TOL * upper and upper > 0.0)

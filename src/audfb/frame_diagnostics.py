@@ -7,11 +7,12 @@ matrix in the DFT domain:
 
 where H0 (the frequency response) collects the diagonal and the Hr for r >= 1
 (the alias components) collect everything off it. This module computes those
-terms (H0 comes from :mod:`audfb.filterbank` and is re-exported here),
-classifies banks (painless, diagonally dominant), estimates frame bounds
-three ways, applies S directly in the spectral domain, measures the
-perfect-reconstruction residual of an analysis/synthesis pair, and rewrites a
-non-uniform bank as an equivalent uniform one.
+terms once per bank, over the r that occur, and keeps them on the bank (H0
+comes from :mod:`audfb.filterbank` and is re-exported here). The bounds,
+:func:`walnut_apply` and :func:`alias_components` all read them. It also
+classifies banks (painless, diagonally dominant), measures the
+perfect-reconstruction residual of an analysis/synthesis pair from the same
+kind of terms, and rewrites a non-uniform bank as an equivalent uniform one.
 
 One-sided banks are handled through their full channel system (stored plus
 mirror channels), so every statement below is about the complex-linear frame
@@ -21,22 +22,14 @@ operator that :func:`walnut_apply` realizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import finite_frames
 from .dsp_core import _as_signal
 from .errors import DomainError, ShapeError, UnsupportedConfigError
-from .filterbank import (
-    FilterBank,
-    _add_at,
-    _expanded_covers,
-    _fold,
-    _take,
-    expanded_filters,
-    frequency_response,
-)
+from .filterbank import FilterBank, _add_at, _expanded_covers, frequency_response
 
 __all__ = [
     "DENSE_EIGEN_MAX_LENGTH",
@@ -51,8 +44,8 @@ __all__ = [
     "equivalent_uniform",
 ]
 
-# Dense bound estimation assembles all L/d_k atoms per channel and calls an
-# O(L^3) eigensolver; refuse above this signal length.
+# Dense bound estimation writes the Walnut terms into an L x L matrix and
+# calls an O(L^3) Hermitian eigenvalue solver; refuse above this signal length.
 DENSE_EIGEN_MAX_LENGTH = 1024
 
 _METHODS = ("painless-exact", "diag-dominance", "dense-eigen")
@@ -120,6 +113,55 @@ def _lcm_decimation(decimations) -> int:
     return math.lcm(*(int(d) for d in decimations))
 
 
+def _walnut_terms(left, right, L: int) -> dict[int, np.ndarray]:
+    """Alias-domain terms {r: T_r} of two channel systems, in ascending r.
+
+    ``left`` and ``right`` are (start, values, d) covers of G_k and H_k with
+    equal decimations. With D = lcm(d_k) and q_k = D/d_k,
+
+        T_r[j] = sum_{k: q_k | r} G_k[j] * H_k[(j - r*L/D) mod L] / d_k.
+
+    Each product is summed only over the circular runs of bins where the
+    cover of G_k meets the cover of H_k shifted by i*L/d_k (r = i*q_k), so
+    T_0 is always present and T_r for r >= 1 only where such runs exist.
+    """
+    D = _lcm_decimation(d for *_, d in right)
+    terms = {0: np.zeros(L, dtype=np.complex128)}
+    for (start_g, vg, _), (start_h, vh, d) in zip(left, right):
+        ng, nh = vg.size, vh.size
+        # where G's cover starts inside the shifted cover of H
+        offsets = (start_g - start_h - (L // d) * np.arange(d)) % L
+        for i in np.flatnonzero((offsets < nh) | (offsets > L - ng)).tolist():
+            e, r = int(offsets[i]), i * (D // d)
+            if r not in terms:
+                terms[r] = np.zeros(L, dtype=np.complex128)
+            if e < nh:
+                n = min(ng, nh - e)
+                _add_at(terms[r], start_g, vg[:n] * vh[e : e + n] / d)
+            if L - e < ng:
+                n = min(ng - (L - e), nh)
+                _add_at(terms[r], (start_g + L - e) % L, vg[L - e : L - e + n] * vh[:n] / d)
+    return dict(sorted(terms.items()))
+
+
+def _frame_terms(fb: FilterBank) -> dict[int, np.ndarray]:
+    """Walnut terms {r: H_r} of the bank's frame operator, H_0 being
+    :func:`frequency_response`. Computed on first use and kept read-only on
+    the bank; ``dataclasses.replace`` makes a new bank with none. A painless
+    bank has no shifted overlaps, so only H_0 is computed for it."""
+    if fb._walnut is None:
+        terms = {0: None}
+        if not painless_check(fb):
+            covers = _expanded_covers(fb)
+            adjoint = [(start, np.conj(values), d) for start, values, d in covers]
+            terms = _walnut_terms(adjoint, covers, fb.signal_length)
+        terms[0] = frequency_response(fb)
+        for H in terms.values():
+            H.flags.writeable = False
+        fb._walnut = terms
+    return fb._walnut
+
+
 def alias_components(fb: FilterBank) -> np.ndarray:
     """Off-diagonal terms Hr for r = 1 .. D-1, D = lcm(d_k), as an array
     of shape (D-1, L).
@@ -129,37 +171,11 @@ def alias_components(fb: FilterBank) -> np.ndarray:
     painless banks every entry is exactly zero (supports of the shifted
     copies are disjoint).
     """
-    covers = _expanded_covers(fb)
-    L = fb.signal_length
-    D = _lcm_decimation(d for *_, d in covers)
-    out = np.zeros((D - 1, L), dtype=np.complex128)
-    for start, values, d in covers:
-        for i, at, product in _shifted_products((start, np.conj(values)), (start, values), d, L):
-            if i:
-                _add_at(out[i * (D // d) - 1], at, product / d)
+    out = np.zeros((_lcm_decimation(fb.decimations) - 1, fb.signal_length), dtype=np.complex128)
+    for r, H in _frame_terms(fb).items():
+        if r:
+            out[r - 1] = H
     return out
-
-
-def _shifted_products(a, b, d: int, L: int):
-    """Nonzero runs of A[j] * B[(j - i*L/d) mod L] over the shifts i = 0 .. d-1.
-
-    ``a`` and ``b`` are covers (start, values) of A and B. Yields
-    (i, start, product) for every circular run of bins where the cover of A
-    meets the cover of B shifted by i*L/d; shifts where they do not meet
-    are skipped.
-    """
-    (start_a, va), (start_b, vb) = a, b
-    na, nb = va.size, vb.size
-    # where A's cover starts inside the shifted cover of B
-    offsets = (start_a - start_b - (L // d) * np.arange(d)) % L
-    for i in np.flatnonzero((offsets < nb) | (offsets > L - na)).tolist():
-        e = int(offsets[i])
-        if e < nb:
-            n = min(na, nb - e)
-            yield i, start_a, va[:n] * vb[e : e + n]
-        if L - e < na:
-            n = min(na - (L - e), nb)
-            yield i, (start_a + L - e) % L, va[L - e : L - e + n] * vb[:n]
 
 
 def painless_check(fb: FilterBank) -> bool:
@@ -167,20 +183,6 @@ def painless_check(fb: FilterBank) -> bool:
     most L/d_k bins, which makes the frame operator a spectral multiplier."""
     L = fb.signal_length
     return all(values.size <= L // int(d) for (_, values), d in zip(fb._covers, fb.decimations))
-
-
-def _atom_frame(fb: FilterBank) -> finite_frames.FiniteFrame:
-    """The bank's full atom system as a finite frame: channel k and time n
-    give the vector m -> conj(h_k[(n*d_k - m) mod L])."""
-    filters, decs = expanded_filters(fb)
-    L = fb.signal_length
-    rows = []
-    for H, d in zip(filters, decs):
-        d = int(d)
-        base = np.roll(np.conj(np.fft.ifft(H))[::-1], 1)
-        for n in range(L // d):
-            rows.append(np.roll(base, n * d))
-    return finite_frames.FiniteFrame(np.array(rows))
 
 
 def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
@@ -192,10 +194,12 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
     method : str
         ``painless-exact`` (optimal bounds min/max H0, requires a painless
         bank), ``diag-dominance`` (Gershgorin-style bracket from H0 and the
-        alias norms, lower bound clamped at zero), ``dense-eigen`` (exact
-        extreme eigenvalues of the assembled frame operator, refused for
-        L > DENSE_EIGEN_MAX_LENGTH), or ``auto`` to pick painless-exact when
-        the bank is painless and diag-dominance otherwise.
+        alias norms sum_{r>=1} |Hr|, lower bound clamped at zero),
+        ``dense-eigen`` (exact extreme eigenvalues of the frame operator,
+        written from its Walnut terms as an L x L matrix in the DFT domain;
+        refused for L > DENSE_EIGEN_MAX_LENGTH), or ``auto`` to pick
+        painless-exact when the bank is painless and diag-dominance
+        otherwise. Every method reads the Walnut terms cached on the bank.
 
     Raises
     ------
@@ -212,24 +216,29 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
         raise DomainError(f"unknown bound method {method!r}")
 
     L = fb.signal_length
-    response = frequency_response(fb)
+    if method == "painless-exact" and not painless:
+        raise UnsupportedConfigError("painless-exact bounds need a painless bank")
+    if method == "dense-eigen" and L > DENSE_EIGEN_MAX_LENGTH:
+        raise UnsupportedConfigError(
+            f"dense-eigen bounds are limited to L <= {DENSE_EIGEN_MAX_LENGTH}, got {L}"
+        )
+    terms = _frame_terms(fb)
+    response = terms[0]
+    # summed in ascending r; a painless bank has no r >= 1 and gets zeros
+    alias_norms = sum((np.abs(H) for r, H in terms.items() if r), np.zeros(L))
     if method == "painless-exact":
-        if not painless:
-            raise UnsupportedConfigError("painless-exact bounds need a painless bank")
-        alias_norms = np.zeros(L)
         bounds = finite_frames.Bounds(float(response.min()), float(response.max()))
+    elif method == "diag-dominance":
+        lower = max(0.0, float((response - alias_norms).min()))
+        upper = float((response + alias_norms).max())
+        bounds = finite_frames.Bounds(lower, upper)
     else:
-        if method == "dense-eigen" and L > DENSE_EIGEN_MAX_LENGTH:
-            raise UnsupportedConfigError(
-                f"dense-eigen bounds are limited to L <= {DENSE_EIGEN_MAX_LENGTH}, got {L}"
-            )
-        alias_norms = np.abs(alias_components(fb)).sum(axis=0)
-        if method == "diag-dominance":
-            lower = max(0.0, float((response - alias_norms).min()))
-            upper = float((response + alias_norms).max())
-            bounds = finite_frames.Bounds(lower, upper)
-        else:
-            bounds = finite_frames.frame_bounds(_atom_frame(fb))
+        hop = L // _lcm_decimation(fb.decimations)
+        j = np.arange(L)
+        S = np.zeros((L, L), dtype=np.complex128)
+        for r, H in terms.items():
+            S[j, (j - r * hop) % L] = H
+        bounds = finite_frames._operator_bounds(S)
     return FrameReport(
         frequency_response=response,
         alias_norms=alias_norms,
@@ -242,27 +251,22 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
 def walnut_apply(fb: FilterBank, x) -> np.ndarray:
     """Apply the frame operator S to x directly in the spectral domain.
 
-    For painless banks S is multiplication of the spectrum by the frequency
-    response. Otherwise the banded form is summed per channel:
+    Sums the bank's Walnut terms against shifted copies of the spectrum,
 
-        (S x)^[j] = sum_k conj(H_k[j]) / d_k
-                    * sum_{s=0}^{d_k - 1} (H_k * X)[(j - s*L/d_k) mod L]
+        (S x)^[j] = sum_r Hr[j] * X[(j - r*L/D) mod L],
 
-    Either way this is an independent route to S; it never runs the
-    analysis/synthesis pipeline.
+    over the r that occur, in ascending order. A painless bank has only
+    r = 0, so S multiplies the spectrum by the frequency response. The terms
+    are computed on the first call and cached on the bank. This is an
+    independent route to S; it never runs the analysis/synthesis pipeline.
     """
     x = _as_signal(x)
     L = fb.signal_length
     if x.shape[0] != L:
         raise ShapeError(f"signal length {x.shape[0]} does not match bank length {L}")
     X = np.fft.fft(x)
-    if painless_check(fb):
-        return np.fft.ifft(frequency_response(fb) * X)
-    out = np.zeros(L, dtype=np.complex128)
-    for start, values, d in _expanded_covers(fb):
-        folded = _fold(_take(X, start, values.size) * values, start, L // d)
-        _add_at(out, start, np.conj(values) * _take(folded, start, values.size) / d)
-    return np.fft.ifft(out)
+    hop = L // _lcm_decimation(fb.decimations)
+    return np.fft.ifft(sum(H * np.roll(X, r * hop) for r, H in _frame_terms(fb).items()))
 
 
 def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
@@ -290,16 +294,8 @@ def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
         raise ShapeError("analysis and synthesis banks have different decimations")
 
     L = fb_ana.signal_length
-    analysis = _expanded_covers(fb_ana)
-    D = _lcm_decimation(d for *_, d in analysis)
-    terms = {}
-    for (start_h, vh, d), (start_g, vg, _) in zip(analysis, _expanded_covers(fb_syn)):
-        for i, at, product in _shifted_products((start_g, vg), (start_h, vh), d, L):
-            r = i * (D // d)
-            if r not in terms:
-                terms[r] = np.zeros(L, dtype=np.complex128)
-            _add_at(terms[r], at, product / d)
-    T0 = terms.pop(0, np.zeros(L, dtype=np.complex128))
+    terms = _walnut_terms(_expanded_covers(fb_syn), _expanded_covers(fb_ana), L)
+    T0 = terms.pop(0)
     rest = max((float(np.abs(T).max()) for T in terms.values()), default=0.0)
 
     # Best delay: minimize max_j |T0[j] e^(2*pi*i*j*l/L) - 1| over l. The

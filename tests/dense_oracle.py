@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from audfb import filterbank
+from audfb import filterbank, finite_frames
 
 
 def _mirror_spectrum(V):
@@ -125,3 +125,15 @@ def alias_components(fb):
         for r in range(q, D, q):
             out[r - 1] += np.conj(H) * np.roll(H, r * hop) / d
     return out
+
+
+def atom_frame(fb):
+    """The bank's full atom system as a finite frame: channel k and time n
+    give the vector m -> conj(h_k[(n*d_k - m) mod L])."""
+    rows = []
+    for H, d in zip(*expanded(fb)):
+        d = int(d)
+        base = np.roll(np.conj(np.fft.ifft(H))[::-1], 1)
+        for n in range(fb.signal_length // d):
+            rows.append(np.roll(base, n * d))
+    return finite_frames.FiniteFrame(np.array(rows))

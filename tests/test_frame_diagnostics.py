@@ -8,12 +8,14 @@ code with the functions under test.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import audfb
-from audfb import filterbank, frame_diagnostics
+import dense_oracle as oracle
+from audfb import filterbank, finite_frames, frame_diagnostics
 from audfb.errors import DomainError, NotAFrameError, ShapeError, UnsupportedConfigError
 from conftest import random_full_bank
 
@@ -49,6 +51,17 @@ def small_painless_bank(L=512):
     return audfb.build_audlet(
         0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=L
     )
+
+
+def doubled(fb):
+    return dataclasses.replace(fb, decimations=2 * fb.decimations)
+
+
+def painless_gabor(L=64, a=4, M=8):
+    """Uniform bank of M modulates of an L/a-bin Hann window centred at DC."""
+    window = np.zeros(L)
+    window[: L // a] = np.hanning(L // a + 2)[1:-1]
+    return audfb.build_gabor(np.roll(window, -(L // a) // 2), a, M, L)
 
 
 class TestFrequencyResponse:
@@ -193,6 +206,43 @@ class TestEstimateBounds:
         fb = random_full_bank(16, [2, 2], seed=212)
         assert audfb.estimate_bounds(fb).method == "diag-dominance"
 
+    @pytest.mark.parametrize(
+        "make_bank",
+        [
+            lambda: small_painless_bank(L=256),
+            lambda: doubled(small_painless_bank(L=256)),
+            lambda: random_full_bank(48, [2, 2, 4, 8], seed=221),
+            painless_gabor,
+        ],
+        ids=["audlet", "audlet-doubled", "random-full", "gabor"],
+    )
+    def test_dense_eigen_matches_atom_frame_oracle(self, make_bank):
+        """Bounds from the Walnut terms equal those of the bank's atoms."""
+        fb = make_bank()
+        report = audfb.estimate_bounds(fb, method="dense-eigen")
+        expected = finite_frames.frame_bounds(oracle.atom_frame(fb))
+        assert expected.lower > 0.0
+        assert abs(report.bounds.lower - expected.lower) <= 1e-12 * expected.upper
+        assert abs(report.bounds.upper - expected.upper) <= 1e-12 * expected.upper
+
+    def test_diag_dominance_peak_memory(self):
+        """Only the alias terms that occur are held: the doubled ERB bank at
+        L=4096 (D=1024, 11 terms) stays far below one dense (D-1, L) array
+        (16 MiB per 1024 rows of complex values)."""
+        fb = doubled(
+            audfb.build_audlet(
+                0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=4096
+            )
+        )
+        tracemalloc.start()
+        try:
+            report = audfb.estimate_bounds(fb, method="diag-dominance")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert report.bounds.lower > 0.0
+
     def test_dense_eigen_size_ceiling(self):
         fb = audfb.build_audlet(
             0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=2048
@@ -269,8 +319,23 @@ class TestWalnutApply:
         fast = audfb.walnut_apply(fb, x)
         scale = np.max(np.abs(composed))
         np.testing.assert_allclose(fast, composed, atol=1e-11 * scale)
-        # at most two folded terms are nonzero per bin, so the order is moot
-        assert np.array_equal(fast, rolled_walnut(fb, x))
+        # the Walnut terms multiply (conj(H) * H / d) * X where the roll loop
+        # folds H * X first, so the two agree only to rounding
+        reference = rolled_walnut(fb, x)
+        assert np.max(np.abs(fast - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_replaced_bank_gets_its_own_terms(self, rng):
+        """The terms cached on a bank do not leak into a bank made from it
+        by dataclasses.replace."""
+        fb = small_painless_bank(L=256)
+        x = rng.standard_normal(256)
+        audfb.walnut_apply(fb, x)
+        other = doubled(fb)
+        assert other._covers is fb._covers
+        reference = oracle.walnut_apply(other, x)
+        fast = audfb.walnut_apply(other, x)
+        assert np.max(np.abs(fast - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.array_equal(audfb.walnut_apply(fb, x), oracle.walnut_apply(fb, x))
 
     def test_zero_in_zero_out(self, default_erb_bank):
         out = audfb.walnut_apply(default_erb_bank, np.zeros(16384))
