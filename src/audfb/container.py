@@ -151,6 +151,15 @@ def _read(path, kind: str):
     trim_length = _parse_int(fields, "trim_length")
     n_channels = _parse_int(fields, "channels")
 
+    # Check the recorded rates against the payload before a bank of length L is built.
+    item = 16 if kind == "coefficients" else 8
+    for k, (_, _, d) in enumerate(channel_rows):
+        if d < 1 or L % d != 0:
+            raise ContainerError(f"channel {k} downsampling factor {d} does not divide {L}")
+    sizes = [item * (L // d) for _, _, d in channel_rows]
+    if len(payload) != sum(sizes):
+        raise ContainerError(f"payload holds {len(payload)} bytes, expected {sum(sizes)}")
+
     try:
         fb = build_audlet(
             _parse_float(fields, "f_min"),
@@ -186,10 +195,6 @@ def _read(path, kind: str):
         ):
             raise ContainerError(f"channel {k} metadata does not match the rebuilt bank")
 
-    item = 16 if kind == "coefficients" else 8
-    sizes = [item * n for n in fb.subband_lengths()]
-    if len(payload) != sum(sizes):
-        raise ContainerError(f"payload holds {len(payload)} bytes, expected {sum(sizes)}")
     chunks = []
     offset = 0
     dtype = "<c16" if kind == "coefficients" else "<f8"

@@ -271,8 +271,10 @@ def _fold(values: np.ndarray, start: int, N: int) -> np.ndarray:
 
 
 def _divisors(L: int) -> np.ndarray:
-    candidates = np.arange(1, L + 1, dtype=np.int64)
-    return candidates[L % candidates == 0]
+    """Divisors of L in ascending order, found among 1 .. isqrt(L)."""
+    small = np.arange(1, math.isqrt(L) + 1, dtype=np.int64)
+    small = small[L % small == 0]
+    return np.union1d(small, L // small)
 
 
 def _window_cover(window, half_width: float, L: int, sample_rate: float,
@@ -332,7 +334,9 @@ def build_audlet(
         Frequency range covered by the regular channels, 0 <= f_min < f_max
         <= sample_rate/2.
     channels_per_unit : float
-        Channel density V per auditory unit.
+        Channel density V per auditory unit. The derived regular channel
+        count may be at most 4 * signal_length; a denser bank raises
+        DomainError before anything is allocated.
     scale : AuditoryScale
         ERB or BARK.
     sample_rate : float
@@ -361,7 +365,10 @@ def build_audlet(
 
     u_lo = scales.scale_value(scale, f_min)
     u_hi = scales.scale_value(scale, f_max)
-    n_regular = max(1, math.ceil(channels_per_unit * (u_hi - u_lo)))
+    count = channels_per_unit * (u_hi - u_lo)  # checked before math.ceil, which rejects inf
+    if count > 4 * L:
+        raise DomainError(f"{count:.6g} channels exceed 4 * signal_length = {4 * L}")
+    n_regular = max(1, math.ceil(count))
     centers = scales.inverse_scale(
         scale, u_lo + np.arange(n_regular) / channels_per_unit
     )

@@ -127,7 +127,8 @@ def irrelevance_threshold(coefficients, fb: FilterBank, model: IrrelevanceModel)
     masker's time index nearest to n (subband rates differ), u are channel
     centers in scale units, and the slope is the upper spread when the
     target lies above the masker, the lower spread otherwise. The threshold
-    is the maximum contribution plus the model offset.
+    is the maximum contribution plus the model offset. It is evaluated once
+    per subband rate (n' depends on k only via d_k), with the same result.
 
     Raises
     ------
@@ -136,34 +137,31 @@ def irrelevance_threshold(coefficients, fb: FilterBank, model: IrrelevanceModel)
     ShapeError
         Coefficients do not match the bank.
     """
+    return _threshold_and_levels(coefficients, fb, model)[0]
+
+
+def _threshold_and_levels(coefficients, fb: FilterBank, model: IrrelevanceModel):
+    """(irrelevance_threshold, _levels_db) of the coefficients."""
     c = _check_coefficients(fb, coefficients)
     if fb.center_frequencies is None:
         raise DomainError("bank carries no center frequencies")
-    units = np.asarray(
-        scales.scale_value(model.scale, np.asarray(fb.center_frequencies, dtype=np.float64))
-    )
+    units = scales.scale_value(model.scale, np.asarray(fb.center_frequencies, dtype=np.float64))
     levels = _levels_db(c)
-    decimations = [int(d) for d in fb.decimations]
-
-    thresholds = []
-    for k in range(fb.n_channels):
-        d_k = decimations[k]
-        n = np.arange(c[k].shape[0], dtype=np.int64)
-        best = np.full(c[k].shape[0], -np.inf)
-        for kappa in range(fb.n_channels):
-            d_kap = decimations[kappa]
+    upper, lower = model.spread_upper_db_per_unit, model.spread_lower_db_per_unit
+    thresholds = {}
+    for d_k in np.unique(fb.decimations):
+        targets = np.flatnonzero(fb.decimations == d_k)
+        distance = units[targets, None] - units  # (targets, maskers)
+        shadows = np.where(distance > 0.0, upper, lower) * np.abs(distance)
+        n = np.arange(fb.signal_length // d_k)
+        best = np.full((targets.size, n.size), -np.inf)
+        for kappa, (level, d_kap) in enumerate(zip(levels, fb.decimations)):
             # nearest masker time index: round(n * d_k / d_kap), exactly in
             # integer arithmetic, wrapped into the masker's subband
-            idx = ((2 * n * d_k + d_kap) // (2 * d_kap)) % c[kappa].shape[0]
-            distance = units[k] - units[kappa]
-            slope = (
-                model.spread_upper_db_per_unit
-                if distance > 0.0
-                else model.spread_lower_db_per_unit
-            )
-            np.maximum(best, levels[kappa][idx] - slope * abs(distance), out=best)
-        thresholds.append(best + model.offset_db)
-    return thresholds
+            idx = ((2 * n * d_k + d_kap) // (2 * d_kap)) % level.size
+            np.maximum(best, level[idx] - shadows[:, kappa, None], out=best)
+        thresholds.update(zip(targets, best + model.offset_db))
+    return [thresholds[k] for k in range(fb.n_channels)], levels
 
 
 def irrelevance_filter(
@@ -177,8 +175,7 @@ def irrelevance_filter(
     step (painless dual or an iterative solver).
     """
     c = analyze(fb, x)
-    thresholds = irrelevance_threshold(c, fb, model)
-    levels = _levels_db(c)
+    thresholds, levels = _threshold_and_levels(c, fb, model)
     weights = [(lev >= thr).astype(np.float64) for lev, thr in zip(levels, thresholds)]
     masked = [w * ck for w, ck in zip(weights, c)]
     total = sum(w.shape[0] for w in weights)

@@ -19,6 +19,7 @@ mirrors), so reconstruction targets real signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +44,8 @@ class CGConfig:
     Attributes
     ----------
     tolerance : float
-        Relative residual threshold, ||r|| <= tolerance * ||b||.
+        Relative residual threshold, ||r|| <= tolerance * ||b||; positive
+        and finite.
     max_iterations : int or None
         Iteration budget; None means the signal length L (the exact-arithmetic
         worst case).
@@ -58,8 +60,8 @@ class CGConfig:
     preconditioned: bool = True
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise DomainError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise DomainError("tolerance must be positive and finite")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
 
@@ -227,20 +229,22 @@ def neumann_synthesize(
     bounds : Bounds
         Frame bound estimates (lower, upper) with positive lower bound.
     tolerance, max_iterations, return_trace
-        Stopping controls as above.
+        Stopping controls as above; tolerance is positive and finite.
 
     Raises
     ------
     NotAFrameError
         bounds.lower is not positive.
+    DomainError
+        tolerance is not positive and finite.
     ConvergenceError
         Update still above tolerance at the iteration cap.
     """
     lower, upper = float(bounds[0]), float(bounds[1])
     if not lower > 0.0:
         raise NotAFrameError("lower frame bound is zero: frame algorithm undefined")
-    if not tolerance > 0.0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise DomainError("tolerance must be positive and finite")
     relax = 2.0 / (lower + upper)
 
     b = _rhs(fb, coefficients)

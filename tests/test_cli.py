@@ -191,6 +191,28 @@ class TestExitCodes:
         assert code == 64
         assert "bank configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("density", ["1e300", "1.7e308"])
+    def test_unbounded_channel_count_is_usage_error(self, capsys, density):
+        flags = ["--sample-rate", "8000", "--length", "4096", "--channels-per-unit", density]
+        code = cli.main(["diagnose"] + flags)
+        assert code == 64
+        assert "bank configuration" in capsys.readouterr().err
+
+    def test_dual_synthesis_of_non_frame_is_convergence_error(self, tmp_path, capsys):
+        """Without the 0 Hz filter the bank misses [0, 500) Hz: no dual exists."""
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        coeffs = tmp_path / "c.afc"
+        out = tmp_path / "o.wav"
+        gap = ["--fmin", "500", "--no-dc-filter"]
+        assert cli.main(["analyze", str(wav), str(coeffs)] + gap) == 0
+        assert cli.main(["synthesize", str(coeffs), str(out)]) == 70
+        assert "reconstruction failed" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["irrelevance", str(wav), str(out)] + gap) == 70
+        assert "reconstruction failed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("method", ["cg", "neumann"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, method, tolerance):

@@ -1,5 +1,7 @@
 """Coefficient and mask container files: roundtrips and corruption handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,19 @@ def test_unknown_scale_rejected(tmp_path, rng):
     bad.write_bytes(blob)
     with pytest.raises(ContainerError):
         container.read_coefficients(bad)
+
+
+def test_claimed_length_checked_against_payload_before_rebuild(tmp_path, rng):
+    """A small file claiming L = 2^20 fails on its payload size before a
+    bank of that length is built."""
+    blob = _valid_container(tmp_path, rng).read_bytes()
+    bad = tmp_path / "bad.afc"
+    bad.write_bytes(blob.replace(b"signal_length 1024", b"signal_length 1048576"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="payload"):
+            container.read_coefficients(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(blob) + 2**20

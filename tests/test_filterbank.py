@@ -317,6 +317,21 @@ def test_build_audlet_rejects_non_finite_parameters(name, value):
         audfb.build_audlet(0.0, 4000.0, v, audfb.ERB, sample_rate=8000.0, signal_length=512, **full)
 
 
+def test_build_audlet_bounds_channel_count():
+    """More than 4 L regular channels is rejected before any allocation.
+
+    Up to 4 kHz the ERB scale spans 27.02 units, so at L=512 a density of 75
+    gives 2027 regular channels and 76 gives 2054; 1.7e308 overflows to inf.
+    """
+    fb = audfb.build_audlet(0.0, 4000.0, 75.0, audfb.ERB, sample_rate=8000.0, signal_length=512)
+    assert fb.n_channels == 2028
+    for density in (76.0, 1e300, 1.7e308):
+        with pytest.raises(DomainError, match="signal_length"):
+            audfb.build_audlet(
+                0.0, 4000.0, density, audfb.ERB, sample_rate=8000.0, signal_length=512
+            )
+
+
 def test_build_audlet_rejects_empty_support():
     """A channel whose support contains no spectral bin cannot be built."""
     with pytest.raises(UnsupportedConfigError):

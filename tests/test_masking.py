@@ -1,12 +1,47 @@
 """Frame multipliers and the irrelevance (simultaneous masking) filter."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import audfb
 from audfb import masking
-from audfb.errors import DomainError, ShapeError
+from audfb.errors import DomainError, ShapeError, UnsupportedConfigError
 from conftest import tone_plus_noise
+
+
+def pair_loop_threshold(coefficients, fb, model):
+    """Oracle for ``irrelevance_threshold``: one shadow per (target, masker)
+    pair, each masker resampled anew for every target channel."""
+    c = [np.asarray(ck, dtype=np.complex128) for ck in coefficients]
+    units = np.asarray(
+        audfb.scale_value(model.scale, np.asarray(fb.center_frequencies, dtype=np.float64))
+    )
+    levels = masking._levels_db(c)
+    decimations = [int(d) for d in fb.decimations]
+
+    thresholds = []
+    for k in range(fb.n_channels):
+        d_k = decimations[k]
+        n = np.arange(c[k].shape[0], dtype=np.int64)
+        best = np.full(c[k].shape[0], -np.inf)
+        for kappa in range(fb.n_channels):
+            d_kap = decimations[kappa]
+            # nearest masker time index: round(n * d_k / d_kap), exactly in
+            # integer arithmetic, wrapped into the masker's subband
+            idx = ((2 * n * d_k + d_kap) // (2 * d_kap)) % c[kappa].shape[0]
+            distance = units[k] - units[kappa]
+            slope = (
+                model.spread_upper_db_per_unit
+                if distance > 0.0
+                else model.spread_lower_db_per_unit
+            )
+            np.maximum(best, levels[kappa][idx] - slope * abs(distance), out=best)
+        thresholds.append(best + model.offset_db)
+    return thresholds
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +233,68 @@ class TestIrrelevanceThreshold:
         c = [np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)]
         with pytest.raises(DomainError):
             masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
+
+
+@given(
+    scale=st.sampled_from([audfb.ERB, audfb.BARK]),
+    channels_per_unit=st.floats(0.5, 3.0),
+    f_min=st.one_of(st.just(0.0), st.floats(30.0, 800.0)),
+    signal_length=st.sampled_from([128, 256, 512, 1024]),
+    doubled=st.booleans(),
+    random_centers=st.booleans(),
+    signal=st.sampled_from(["noise", "silence", "impulse"]),
+    model_scale=st.sampled_from([audfb.ERB, audfb.BARK]),
+    offset=st.floats(-30.0, 30.0),
+    lower=st.floats(0.5, 60.0),
+    upper=st.floats(0.5, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_threshold_matches_pair_loop_oracle(
+    scale, channels_per_unit, f_min, signal_length, doubled, random_centers,
+    signal, model_scale, offset, lower, upper, seed,
+):
+    """Thresholds, mask and removed fraction equal the pair-loop oracle's."""
+    try:
+        fb = audfb.build_audlet(
+            f_min, 4000.0, channels_per_unit, scale,
+            sample_rate=8000.0, signal_length=signal_length,
+        )
+    except UnsupportedConfigError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    if doubled:
+        assume(np.all(signal_length % (2 * fb.decimations) == 0))
+        fb = dataclasses.replace(fb, decimations=2 * fb.decimations)
+    if random_centers:
+        fb = dataclasses.replace(fb, center_frequencies=rng.uniform(0.0, 4000.0, fb.n_channels))
+    x = np.zeros(signal_length)
+    if signal == "noise":
+        x = rng.standard_normal(signal_length)
+    elif signal == "impulse":
+        x[rng.integers(signal_length)] = 1.0
+    model = masking.IrrelevanceModel(
+        offset_db=offset,
+        spread_lower_db_per_unit=lower,
+        spread_upper_db_per_unit=upper,
+        scale=model_scale,
+    )
+
+    c = audfb.analyze(fb, x)
+    expected = pair_loop_threshold(c, fb, model)
+    actual = masking.irrelevance_threshold(c, fb, model)
+    assert len(actual) == len(expected)
+    assert all(np.array_equal(a, e) for a, e in zip(actual, expected))
+
+    weights = [
+        (level >= thr).astype(np.float64)
+        for level, thr in zip(masking._levels_db(c), expected)
+    ]
+    removed = sum(int(np.count_nonzero(w == 0.0)) for w in weights)
+    masked, mask, fraction = masking.irrelevance_filter(fb, x, model)
+    assert all(np.array_equal(a, e) for a, e in zip(mask.weights, weights))
+    assert all(np.array_equal(a, w * ck) for a, w, ck in zip(masked, weights, c))
+    assert fraction == removed / sum(w.size for w in weights)
 
 
 class TestIrrelevanceFilter:

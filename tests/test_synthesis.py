@@ -178,6 +178,11 @@ class TestCG:
         with pytest.raises(DomainError):
             synthesis.CGConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(DomainError):
+            synthesis.CGConfig(tolerance=tolerance)
+
     def test_coefficient_shape_checked(self, small_erb_bank):
         with pytest.raises(ShapeError):
             synthesis.cg_synthesize(small_erb_bank, [np.zeros(4)])
@@ -244,3 +249,10 @@ class TestNeumann:
         bounds = audfb.estimate_bounds(fb).bounds
         with pytest.raises(ConvergenceError):
             synthesis.neumann_synthesize(fb, c, bounds=bounds, max_iterations=1)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, rng, tolerance):
+        fb = audfb.build_audlet(0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512)
+        c = audfb.analyze(fb, rng.standard_normal(512))
+        with pytest.raises(DomainError):
+            synthesis.neumann_synthesize(fb, c, bounds=(0.5, 2.0), tolerance=tolerance)
