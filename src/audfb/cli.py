@@ -16,8 +16,9 @@ irrelevance
 
 Exit codes: 0 success; 2 diagnose found no frame; 64 usage error; 65 bad
 input data (WAV or container, including NaN or infinite WAV samples); 70
-reconstruction failed to converge (the residual trace goes to standard
-error); 74 file I/O error.
+reconstruction failed (when a solver did not converge, its residual trace
+goes to standard error); 74 file I/O error. :func:`main` alone maps library
+and I/O exceptions to these codes.
 
 Input WAVs may be 16- or 24-bit PCM or 32-bit float; the first channel is
 used. Signals are zero-padded to a multiple of 4096 samples so plenty of
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from . import container, scales
-from .errors import AudfbError, ContainerError, ConvergenceError, NotAFrameError
+from .errors import AudfbError, ContainerError, ConvergenceError
 from .filterbank import FilterBank, analyze, build_audlet, parseval_normalize, synthesize
 from .frame_diagnostics import estimate_bounds
 from .masking import IrrelevanceModel, _levels_db, irrelevance_filter
@@ -153,8 +154,6 @@ def _build_parser() -> _Parser:
 def _read_wav(path) -> tuple[float, np.ndarray]:
     try:
         rate, data = wavfile.read(path)
-    except OSError as exc:
-        raise _CliFailure(_EX_IO, f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise _CliFailure(_EX_DATA, f"{path}: {exc}") from exc
     if data.ndim == 2:
@@ -175,18 +174,7 @@ def _read_wav(path) -> tuple[float, np.ndarray]:
 
 
 def _write_wav(path, sample_rate: float, x: np.ndarray) -> None:
-    try:
-        wavfile.write(path, int(round(sample_rate)), np.asarray(x, dtype=np.float32))
-    except OSError as exc:
-        raise _CliFailure(_EX_IO, f"cannot write {path}: {exc}") from exc
-
-
-def _write_bytes(path, blob: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise _CliFailure(_EX_IO, f"cannot write {path}: {exc}") from exc
+    wavfile.write(path, int(round(sample_rate)), np.asarray(x, dtype=np.float32))
 
 
 def _pad(samples: np.ndarray) -> tuple[np.ndarray, int]:
@@ -230,37 +218,20 @@ def _cmd_analyze(args) -> int:
     rate, samples = _read_wav(args.input)
     padded, n = _pad(samples)
     fb = _bank(args, rate, padded.shape[0])
-    coefficients = analyze(fb, padded)
-    try:
-        container.write_coefficients(args.output, fb, coefficients, trim_length=n)
-    except OSError as exc:
-        raise _CliFailure(_EX_IO, f"cannot write {args.output}: {exc}") from exc
+    container.write_coefficients(args.output, fb, analyze(fb, padded), trim_length=n)
     return 0
 
 
 def _cmd_synthesize(args) -> int:
     if not (np.isfinite(args.tolerance) and args.tolerance > 0.0):
         raise _CliFailure(_EX_USAGE, f"--tolerance must be positive and finite: {args.tolerance}")
-    try:
-        fb, coefficients, trim_length = container.read_coefficients(args.input)
-    except ContainerError as exc:
-        raise _CliFailure(_EX_DATA, f"{args.input}: {exc}") from exc
-    except OSError as exc:
-        raise _CliFailure(_EX_IO, f"cannot read {args.input}: {exc}") from exc
-    try:
-        if args.method == "dual":
-            x = synthesize(painless_dual(fb), coefficients)
-        elif args.method == "cg":
-            x = cg_synthesize(fb, coefficients, CGConfig(tolerance=args.tolerance))
-        else:
-            report = estimate_bounds(fb, "auto")
-            x = neumann_synthesize(fb, coefficients, report.bounds, tolerance=args.tolerance)
-    except ConvergenceError as exc:
-        for residual in exc.residuals:
-            print("%.17g" % residual, file=sys.stderr)
-        raise _CliFailure(_EX_CONVERGENCE, str(exc)) from exc
-    except AudfbError as exc:
-        raise _CliFailure(_EX_CONVERGENCE, f"reconstruction failed: {exc}") from exc
+    fb, coefficients, trim_length = container.read_coefficients(args.input)
+    if args.method == "dual":
+        x = synthesize(painless_dual(fb), coefficients)
+    elif args.method == "cg":
+        x = cg_synthesize(fb, coefficients, CGConfig(tolerance=args.tolerance))
+    else:
+        x = neumann_synthesize(fb, coefficients, estimate_bounds(fb).bounds, tolerance=args.tolerance)
     _write_wav(args.output, fb.sample_rate, np.real(x[:trim_length]))
     return 0
 
@@ -276,7 +247,7 @@ def _cmd_spectrogram(args) -> int:
         for row in rows:
             values = list(row) + [_DB_FLOOR] * (width - row.shape[0])
             lines.append(",".join("%.17g" % v for v in values))
-        _write_bytes(args.output, ("\n".join(lines) + "\n").encode("ascii"))
+        blob = ("\n".join(lines) + "\n").encode("ascii")
     else:
         grid = np.full((len(rows), width), _DB_FLOOR)
         for k, row in enumerate(rows):
@@ -284,8 +255,9 @@ def _cmd_spectrogram(args) -> int:
         span = float(grid.max()) - _DB_FLOOR
         scaled = np.zeros_like(grid) if span <= 0.0 else (grid - _DB_FLOOR) / span
         pixels = np.rint(scaled * 65535.0).astype(">u2")
-        header = f"P5\n{width} {len(rows)}\n65535\n".encode("ascii")
-        _write_bytes(args.output, header + pixels.tobytes())
+        blob = f"P5\n{width} {len(rows)}\n65535\n".encode("ascii") + pixels.tobytes()
+    with open(args.output, "wb") as fh:
+        fh.write(blob)
     return 0
 
 
@@ -302,17 +274,11 @@ def _cmd_irrelevance(args) -> int:
         )
     except AudfbError as exc:
         raise _CliFailure(_EX_USAGE, f"masking model: {exc}") from exc
-    try:
-        masked, mask, fraction = irrelevance_filter(fb, padded, model)
-        x = synthesize(painless_dual(fb), masked)
-    except (NotAFrameError, ConvergenceError) as exc:
-        raise _CliFailure(_EX_CONVERGENCE, f"reconstruction failed: {exc}") from exc
+    masked, mask, fraction = irrelevance_filter(fb, padded, model)
+    x = synthesize(painless_dual(fb), masked)
     _write_wav(args.output, rate, np.real(x[:n]))
     if args.mask_out is not None:
-        try:
-            container.write_mask(args.mask_out, fb, mask, trim_length=n)
-        except OSError as exc:
-            raise _CliFailure(_EX_IO, f"cannot write {args.mask_out}: {exc}") from exc
+        container.write_mask(args.mask_out, fb, mask, trim_length=n)
     print("%.17g" % fraction)
     return 0
 
@@ -326,8 +292,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CliFailure as failure:
-        print(f"audfb: {failure.message}", file=sys.stderr)
-        return failure.code
+        code, message = failure.code, failure.message
+    except OSError as exc:
+        code, message = _EX_IO, f"file I/O: {exc}"
+    except ContainerError as exc:
+        code, message = _EX_DATA, f"{args.input}: {exc}"
+    except ConvergenceError as exc:
+        for residual in exc.residuals:
+            print("%.17g" % residual, file=sys.stderr)
+        code, message = _EX_CONVERGENCE, str(exc)
+    except AudfbError as exc:
+        code, message = _EX_CONVERGENCE, f"reconstruction failed: {exc}"
+    print(f"audfb: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

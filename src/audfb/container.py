@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import scales
-from .errors import ContainerError, ShapeError
-from .filterbank import FilterBank, _check_coefficients, build_audlet, parseval_normalize
+from .errors import ContainerError
+from .filterbank import PROTOTYPES, FilterBank, _audlet_channels, _check_coefficients
+from .filterbank import build_audlet, parseval_normalize
 from .masking import MaskSymbol
 
 __all__ = ["write_coefficients", "read_coefficients", "write_mask", "read_mask"]
@@ -60,51 +61,37 @@ def _header(fb: FilterBank, kind: str, trim_length: int, binary: bool | None = N
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _write(path, header: bytes, chunks, dtype: str) -> None:
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for chunk in chunks:
+            fh.write(np.ascontiguousarray(chunk, dtype=dtype).tobytes())
+
+
 def write_coefficients(path, fb: FilterBank, coefficients, trim_length: int) -> None:
     """Serialize analysis coefficients together with their bank parameters."""
     c = _check_coefficients(fb, coefficients)
-    header = _header(fb, "coefficients", trim_length)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for ck in c:
-            fh.write(np.ascontiguousarray(ck, dtype="<c16").tobytes())
+    _write(path, _header(fb, "coefficients", trim_length), c, "<c16")
 
 
 def write_mask(path, fb: FilterBank, mask: MaskSymbol, trim_length: int) -> None:
     """Serialize a mask; same layout as coefficients with real payload."""
-    expected = fb.subband_lengths()
-    if len(mask.weights) != len(expected):
-        raise ShapeError(f"mask has {len(mask.weights)} channels, bank has {len(expected)}")
-    for k, (w, n) in enumerate(zip(mask.weights, expected)):
-        if w.shape[0] != n:
-            raise ShapeError(f"mask channel {k} has length {w.shape[0]}, expected {n}")
-    header = _header(fb, "mask", trim_length, binary=mask.binary)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for w in mask.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    weights = _check_coefficients(fb, mask.weights, dtype=None)
+    _write(path, _header(fb, "mask", trim_length, binary=mask.binary), weights, "<f8")
 
 
-def _parse_float(fields: dict, key: str) -> float:
+def _parse(fields: dict, key: str, kind):
+    """Header field ``key`` converted by ``kind`` (float or int)."""
     try:
-        return float(fields[key])
+        return kind(fields[key])
     except KeyError:
         raise ContainerError(f"header field {key!r} missing") from None
     except ValueError:
-        raise ContainerError(f"header field {key!r} is not a number") from None
-
-
-def _parse_int(fields: dict, key: str) -> int:
-    try:
-        return int(fields[key])
-    except KeyError:
-        raise ContainerError(f"header field {key!r} missing") from None
-    except ValueError:
-        raise ContainerError(f"header field {key!r} is not an integer") from None
+        raise ContainerError(f"header field {key!r} is not a valid {kind.__name__}") from None
 
 
 def _parse_flag(fields: dict, key: str) -> bool:
-    value = _parse_int(fields, key)
+    value = _parse(fields, key, int)
     if value not in (0, 1):
         raise ContainerError(f"header field {key!r} must be 0 or 1")
     return bool(value)
@@ -146,62 +133,59 @@ def _read(path, kind: str):
         scale = scales.from_name(scale_name)
     except Exception:
         raise ContainerError(f"unknown scale {scale_name!r}") from None
-    prototype = fields.get("prototype", "")
-    L = _parse_int(fields, "signal_length")
-    trim_length = _parse_int(fields, "trim_length")
-    n_channels = _parse_int(fields, "channels")
+    L = _parse(fields, "signal_length", int)
+    trim_length = _parse(fields, "trim_length", int)
+    n_channels = _parse(fields, "channels", int)
 
     # Check the recorded rates against the payload before a bank of length L is built.
-    item = 16 if kind == "coefficients" else 8
+    dtype = np.dtype("<c16" if kind == "coefficients" else "<f8")
     for k, (_, _, d) in enumerate(channel_rows):
         if d < 1 or L % d != 0:
             raise ContainerError(f"channel {k} downsampling factor {d} does not divide {L}")
-    sizes = [item * (L // d) for _, _, d in channel_rows]
-    if len(payload) != sum(sizes):
-        raise ContainerError(f"payload holds {len(payload)} bytes, expected {sum(sizes)}")
+    counts = [L // d for *_, d in channel_rows]
+    if len(payload) != dtype.itemsize * sum(counts):
+        raise ContainerError(f"payload holds {len(payload)} bytes, expected {dtype.itemsize * sum(counts)}")
 
+    params = dict(
+        f_min=_parse(fields, "f_min", float),
+        f_max=_parse(fields, "f_max", float),
+        channels_per_unit=_parse(fields, "channels_per_unit", float),
+        scale=scale,
+        sample_rate=_parse(fields, "sample_rate", float),
+        signal_length=L,
+        prototype=fields.get("prototype", ""),
+        r_bw=_parse(fields, "r_bw", float),
+        r_d=_parse(fields, "r_d", float),
+        dc_filter=_parse_flag(fields, "dc_filter"),
+    )
     try:
-        fb = build_audlet(
-            _parse_float(fields, "f_min"),
-            _parse_float(fields, "f_max"),
-            _parse_float(fields, "channels_per_unit"),
-            scale,
-            sample_rate=_parse_float(fields, "sample_rate"),
-            signal_length=L,
-            prototype=prototype,
-            r_bw=_parse_float(fields, "r_bw"),
-            r_d=_parse_float(fields, "r_d"),
-            dc_filter=_parse_flag(fields, "dc_filter"),
-        )
-    except ContainerError:
-        raise
+        centers, gammas = _audlet_channels(**params)
+    except Exception as exc:
+        raise ContainerError(f"container parameters do not build a bank: {exc}") from exc
+    if not len(centers) == len(channel_rows) == n_channels:
+        raise ContainerError(f"header says {n_channels} channels, its parameters give "
+                             f"{len(centers)}, and it lists {len(channel_rows)}")
+    if not 0 <= trim_length <= L:
+        raise ContainerError(f"trim_length {trim_length} outside [0, {L}]")
+    # A window of dilation gamma is positive on at least gamma * bins_per_hz - 1
+    # bins, and build_audlet keeps each window within L/d bins (painless).
+    bins_per_hz = 2.0 * PROTOTYPES[params["prototype"]][1] * L / params["sample_rate"]
+    for k, ((f_k, gamma, d), center, width) in enumerate(zip(channel_rows, centers, gammas)):
+        if f_k != center or gamma != width:
+            raise ContainerError(f"channel {k} metadata does not match the rebuilt bank")
+        if min(L, width * bins_per_hz - 2.0) > L // d:
+            raise ContainerError(f"channel {k} window spans more than its {L // d} coefficients")
+    try:
+        fb = build_audlet(**params)
     except Exception as exc:
         raise ContainerError(f"container parameters do not build a bank: {exc}") from exc
     if _parse_flag(fields, "parseval"):
         fb = parseval_normalize(fb)
+    if not np.array_equal(fb.decimations, [d for *_, d in channel_rows]):
+        raise ContainerError("recorded downsampling factors do not match the rebuilt bank")
 
-    if fb.n_channels != n_channels or len(channel_rows) != n_channels:
-        raise ContainerError(
-            f"channel count mismatch: header says {n_channels}, "
-            f"rebuilt bank has {fb.n_channels}, {len(channel_rows)} channel lines"
-        )
-    if not 0 <= trim_length <= L:
-        raise ContainerError(f"trim_length {trim_length} outside [0, {L}]")
-    for k, (f_k, gamma, d) in enumerate(channel_rows):
-        if (
-            f_k != float(fb.center_frequencies[k])
-            or gamma != float(fb.dilations[k])
-            or d != int(fb.decimations[k])
-        ):
-            raise ContainerError(f"channel {k} metadata does not match the rebuilt bank")
-
-    chunks = []
-    offset = 0
-    dtype = "<c16" if kind == "coefficients" else "<f8"
-    native = np.complex128 if kind == "coefficients" else np.float64
-    for size in sizes:
-        chunks.append(np.frombuffer(payload, dtype=dtype, count=size // item, offset=offset).astype(native))
-        offset += size
+    values = np.frombuffer(payload, dtype=dtype)
+    chunks = [chunk.astype(dtype.type) for chunk in np.split(values, np.cumsum(counts)[:-1])]
     return fb, chunks, trim_length, fields
 
 

@@ -302,6 +302,45 @@ def _window_cover(window, half_width: float, L: int, sample_rate: float,
     return int(j[start]), _take(values, start, n)
 
 
+def _audlet_channels(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
+                     prototype, r_bw, r_d, dc_filter) -> tuple[list[float], list[float]]:
+    """Check the arguments of :func:`build_audlet` and return the centers
+    and dilations (Hz) of all its channels, DC and Nyquist included."""
+    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
+        raise DomainError("need 0 <= f_min < f_max <= sample_rate/2")
+    if not (math.isfinite(channels_per_unit) and channels_per_unit > 0):
+        raise DomainError("channels_per_unit must be positive and finite")
+    if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d)):
+        raise DomainError("r_bw and r_d must be positive and finite")
+    if prototype not in PROTOTYPES:
+        raise DomainError(f"unknown prototype {prototype!r}")
+    L = int(signal_length)
+    if L < 2:
+        raise DomainError("signal_length must be at least 2")
+
+    u_lo = scales.scale_value(scale, f_min)
+    u_hi = scales.scale_value(scale, f_max)
+    count = channels_per_unit * (u_hi - u_lo)  # checked before math.ceil, which rejects inf
+    if count > 4 * L:
+        raise DomainError(f"{count:.6g} channels exceed 4 * signal_length = {4 * L}")
+    n_regular = max(1, math.ceil(count))
+    centers = scales.inverse_scale(
+        scale, u_lo + np.arange(n_regular) / channels_per_unit
+    )
+    centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
+    centers[0] = f_min
+    gammas = r_bw * np.asarray(scales.bandwidth(scale, centers), dtype=np.float64)
+
+    all_centers, all_gammas = list(centers), list(gammas)
+    nyq = sample_rate / 2.0
+    if f_min > 0.0 and dc_filter:
+        all_centers.insert(0, 0.0)
+        all_gammas.insert(0, 2.0 * f_min + r_bw * float(scales.bandwidth(scale, f_min)))
+    all_centers.append(nyq)
+    all_gammas.append(2.0 * (nyq - float(centers[-1])) + float(gammas[-1]))
+    return all_centers, all_gammas
+
+
 def build_audlet(
     f_min: float,
     f_max: float,
@@ -349,44 +388,12 @@ def build_audlet(
         When False and f_min > 0, the 0 Hz gap filter is omitted (the bank
         then fails the frame condition; useful for diagnostics only).
     """
-    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
-        raise DomainError("need 0 <= f_min < f_max <= sample_rate/2")
-    if not (math.isfinite(channels_per_unit) and channels_per_unit > 0):
-        raise DomainError("channels_per_unit must be positive and finite")
-    if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d)):
-        raise DomainError("r_bw and r_d must be positive and finite")
-    if prototype not in PROTOTYPES:
-        raise DomainError(f"unknown prototype {prototype!r}")
-    L = int(signal_length)
-    if L < 2:
-        raise DomainError("signal_length must be at least 2")
-
-    window, half_width, norm_sq = PROTOTYPES[prototype]
-
-    u_lo = scales.scale_value(scale, f_min)
-    u_hi = scales.scale_value(scale, f_max)
-    count = channels_per_unit * (u_hi - u_lo)  # checked before math.ceil, which rejects inf
-    if count > 4 * L:
-        raise DomainError(f"{count:.6g} channels exceed 4 * signal_length = {4 * L}")
-    n_regular = max(1, math.ceil(count))
-    centers = scales.inverse_scale(
-        scale, u_lo + np.arange(n_regular) / channels_per_unit
+    all_centers, all_gammas = _audlet_channels(
+        f_min, f_max, channels_per_unit, scale, sample_rate=sample_rate,
+        signal_length=signal_length, prototype=prototype, r_bw=r_bw, r_d=r_d, dc_filter=dc_filter,
     )
-    centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-    centers[0] = f_min
-    gammas = r_bw * np.asarray(scales.bandwidth(scale, centers), dtype=np.float64)
-
-    f_last = float(centers[-1])
-    gamma_last = float(gammas[-1])
-    nyq = sample_rate / 2.0
-
-    all_centers = list(centers)
-    all_gammas = list(gammas)
-    if f_min > 0.0 and dc_filter:
-        all_centers.insert(0, 0.0)
-        all_gammas.insert(0, 2.0 * f_min + r_bw * float(scales.bandwidth(scale, f_min)))
-    all_centers.append(nyq)
-    all_gammas.append(2.0 * (nyq - f_last) + gamma_last)
+    L = int(signal_length)
+    window, half_width, norm_sq = PROTOTYPES[prototype]
 
     n = len(all_centers)
     covers = []
@@ -464,14 +471,16 @@ def build_gabor(window: np.ndarray, a: int, M: int, L: int, sample_rate: float =
     )
 
 
-def _check_coefficients(fb: FilterBank, coefficients) -> list[np.ndarray]:
+def _check_coefficients(fb: FilterBank, coefficients, dtype=np.complex128) -> list[np.ndarray]:
+    """One array of the bank's subband length per channel, converted to
+    ``dtype`` (``None`` keeps each array's own, as for mask weights)."""
     if len(coefficients) != fb.n_channels:
         raise ShapeError(
             f"expected {fb.n_channels} coefficient channels, got {len(coefficients)}"
         )
     out = []
     for k, (c, n) in enumerate(zip(coefficients, fb.subband_lengths())):
-        c = np.asarray(c, dtype=np.complex128)
+        c = np.asarray(c, dtype=dtype)
         if c.shape != (n,):
             raise ShapeError(f"channel {k} must hold {n} coefficients, got {c.shape}")
         out.append(c)

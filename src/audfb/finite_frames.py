@@ -91,9 +91,10 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
 
 
 def _operator_bounds(S: np.ndarray) -> Bounds:
-    """Extreme eigenvalues of the Hermitian matrix S, clamped at 0."""
+    """Extreme eigenvalues of the Hermitian matrix S, or over a stack of
+    them, clamped at 0."""
     w = np.linalg.eigvalsh(S)
-    return Bounds(max(float(w[0]), 0.0), max(float(w[-1]), 0.0))
+    return Bounds(max(float(w[..., 0].min()), 0.0), max(float(w[..., -1].max()), 0.0))
 
 
 def frame_bounds(frame: FiniteFrame) -> Bounds:

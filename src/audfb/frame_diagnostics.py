@@ -44,8 +44,8 @@ __all__ = [
     "equivalent_uniform",
 ]
 
-# Dense bound estimation writes the Walnut terms into an L x L matrix and
-# calls an O(L^3) Hermitian eigenvalue solver; refuse above this signal length.
+# Dense bound estimation writes the Walnut terms into L/D Hermitian D x D
+# blocks and solves them in O(L * D^2); refuse above this signal length.
 DENSE_EIGEN_MAX_LENGTH = 1024
 
 _METHODS = ("painless-exact", "diag-dominance", "dense-eigen")
@@ -195,9 +195,11 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
         ``painless-exact`` (optimal bounds min/max H0, requires a painless
         bank), ``diag-dominance`` (Gershgorin-style bracket from H0 and the
         alias norms sum_{r>=1} |Hr|, lower bound clamped at zero),
-        ``dense-eigen`` (exact extreme eigenvalues of the frame operator,
-        written from its Walnut terms as an L x L matrix in the DFT domain;
-        refused for L > DENSE_EIGEN_MAX_LENGTH), or ``auto`` to pick
+        ``dense-eigen`` (exact extreme eigenvalues of the frame operator;
+        its Walnut terms couple bin j only with the bins j + m*L/D, so they
+        are written into L/D blocks of D x D, the polyphase matrices of the
+        equivalent uniform bank, and all blocks are solved at once; refused
+        for L > DENSE_EIGEN_MAX_LENGTH), or ``auto`` to pick
         painless-exact when the bank is painless and diag-dominance
         otherwise. Every method reads the Walnut terms cached on the bank.
 
@@ -233,12 +235,13 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
         upper = float((response + alias_norms).max())
         bounds = finite_frames.Bounds(lower, upper)
     else:
-        hop = L // _lcm_decimation(fb.decimations)
-        j = np.arange(L)
-        S = np.zeros((L, L), dtype=np.complex128)
+        D = _lcm_decimation(fb.decimations)
+        m = np.arange(D)
+        # block c holds the fibre of bins c + m*L/D; H_r[j] sits at (j, j - r*L/D)
+        blocks = np.zeros((L // D, D, D), dtype=np.complex128)
         for r, H in terms.items():
-            S[j, (j - r * hop) % L] = H
-        bounds = finite_frames._operator_bounds(S)
+            blocks[:, m, (m - r) % D] = H.reshape(D, L // D).T
+        bounds = finite_frames._operator_bounds(blocks)
     return FrameReport(
         frequency_response=response,
         alias_norms=alias_norms,
@@ -275,9 +278,9 @@ def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
     Evaluates the composed alias-domain transfer on every DFT bin: with
     T_r[j] = sum_{k: q_k | r} G_k[j] * H_k[(j - r*L/D) mod L] / d_k,
     reconstruction equals a delay by l exactly when T_0[j] = e^(-2*pi*i*j*l/L)
-    and T_r vanishes for r >= 1. The delay is found by exhaustive search over
-    l = 0 .. L-1; the reported deviation is the worst entry-wise error at the
-    best l (so a zero synthesis bank scores 1).
+    and T_r vanishes for r >= 1. The delay l = 0 .. L-1 with the smallest
+    worst entry-wise error wins, the smallest l on a tie; the reported
+    deviation is that error (so a zero synthesis bank scores 1).
 
     Raises
     ------
@@ -298,21 +301,20 @@ def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
     T0 = terms.pop(0)
     rest = max((float(np.abs(T).max()) for T in terms.values()), default=0.0)
 
-    # Best delay: minimize max_j |T0[j] e^(2*pi*i*j*l/L) - 1| over l. The
-    # ramp advances by one multiplication per candidate and is recomputed
-    # exactly every 128 steps to keep rounding drift out of the result.
+    # Best delay: minimize max_j |T0[j] e^(2*pi*i*j*l/L) - 1| over l. That
+    # maximum is at least the RMS over j, and one inverse DFT gives the mean
+    # square for every l. Delays are visited in ascending mean square until
+    # none left can beat the best or tie it at a smaller l.
+    mean_square = np.mean(T0.real**2 + T0.imag**2) + 1.0 - 2.0 * np.fft.ifft(T0).real
     j = np.arange(L)
-    base = np.exp(2j * np.pi * j / L)
-    ramp = np.ones(L, dtype=np.complex128)
-    best_delay = 0
-    best_dev = math.inf
-    for delay in range(L):
-        if delay % 128 == 0:
-            ramp = np.exp(2j * np.pi * ((j * delay) % L) / L)
-        dev = float(np.abs(T0 * ramp - 1.0).max())
-        if dev < best_dev:
-            best_delay, best_dev = delay, dev
-        ramp = ramp * base
+    roots = np.exp(2j * np.pi * j / L)
+    best_dev, best_delay = math.inf, 0
+    for delay in np.argsort(mean_square, kind="stable").tolist():
+        if (mean_square[delay], delay) > (best_dev**2, best_delay):
+            break
+        dev = float(np.abs(T0 * roots[(j * delay) % L] - 1.0).max())
+        if (dev, delay) < (best_dev, best_delay):
+            best_dev, best_delay = dev, delay
     return PRResidual(delay=best_delay, max_deviation=max(best_dev, rest))
 
 

@@ -101,13 +101,8 @@ def apply_multiplier(m: MaskSymbol, fb_syn: FilterBank, fb_ana: FilterBank, x) -
         Mask shape does not match the analysis coefficients, or the two
         banks disagree structurally.
     """
-    c = analyze(fb_ana, x)
-    if len(m.weights) != len(c):
-        raise ShapeError(f"mask has {len(m.weights)} channels, bank has {len(c)}")
-    for k, (w, ck) in enumerate(zip(m.weights, c)):
-        if w.shape != ck.shape:
-            raise ShapeError(f"mask channel {k} has length {w.shape[0]}, expected {ck.shape[0]}")
-    return synthesize(fb_syn, [w * ck for w, ck in zip(m.weights, c)])
+    weights = _check_coefficients(fb_ana, m.weights, dtype=None)
+    return synthesize(fb_syn, [w * ck for w, ck in zip(weights, analyze(fb_ana, x))])
 
 
 def _levels_db(coefficients) -> list[np.ndarray]:

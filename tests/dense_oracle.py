@@ -137,3 +137,47 @@ def atom_frame(fb):
         for n in range(fb.signal_length // d):
             rows.append(np.roll(base, n * d))
     return finite_frames.FiniteFrame(np.array(rows))
+
+
+def walnut_matrix(fb):
+    """The frame operator as one L x L matrix in the DFT domain, entry Hr[j]
+    at (j, j - r*L/D), from the dense response and alias components."""
+    L = fb.signal_length
+    D = math.lcm(*(int(d) for d in fb.decimations))
+    j = np.arange(L)
+    S = np.zeros((L, L), dtype=np.complex128)
+    S[j, j] = frequency_response(fb)
+    for r, H in enumerate(alias_components(fb), start=1):
+        S[j, (j - r * (L // D)) % L] += H
+    return S
+
+
+def pr_residual(fb_ana, fb_syn):
+    """Exhaustive delay search of pr_residual over l = 0 .. L-1.
+
+    The alias-domain terms are written densely, and every delay's deviation
+    is measured with a ramp advanced by one multiplication per delay and
+    recomputed exactly every 128 steps. Returns (delay, max_deviation, the
+    L per-delay deviations of T0 alone).
+    """
+    G, decs = expanded(fb_syn)
+    H, _ = expanded(fb_ana)
+    L = fb_ana.signal_length
+    D = math.lcm(*(int(d) for d in decs))
+    T = np.zeros((D, L), dtype=np.complex128)
+    for g, h, d in zip(G, H, decs):
+        d = int(d)
+        for r in range(0, D, D // d):
+            T[r] += g * np.roll(h, r * (L // D)) / d
+    rest = float(np.abs(T[1:]).max()) if D > 1 else 0.0
+    j = np.arange(L)
+    base = np.exp(2j * np.pi * j / L)
+    ramp = np.ones(L, dtype=np.complex128)
+    devs = np.empty(L)
+    for delay in range(L):
+        if delay % 128 == 0:
+            ramp = np.exp(2j * np.pi * ((j * delay) % L) / L)
+        devs[delay] = np.abs(T[0] * ramp - 1.0).max()
+        ramp = ramp * base
+    best = int(np.argmin(devs))
+    return best, max(float(devs[best]), rest), devs

@@ -156,6 +156,39 @@ class TestExitCodes:
         code = cli.main(["analyze", str(tmp_path / "nope.wav"), str(tmp_path / "c.afc")])
         assert code == 74
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("analyze", []),
+            ("spectrogram", ["--format", "csv"]),
+            ("spectrogram", ["--format", "pgm"]),
+            ("irrelevance", []),
+        ],
+    )
+    def test_output_in_missing_directory_is_io_error(self, tmp_path, capsys, command, flags):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        out = tmp_path / "missing" / "out"
+        assert cli.main([command, str(wav), str(out)] + flags) == 74
+        assert "audfb:" in capsys.readouterr().err
+
+    def test_synthesis_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        coeffs = tmp_path / "c.afc"
+        assert cli.main(["analyze", str(wav), str(coeffs)]) == 0
+        out = tmp_path / "missing" / "o.wav"
+        assert cli.main(["synthesize", str(coeffs), str(out)]) == 74
+        assert "audfb:" in capsys.readouterr().err
+
+    def test_mask_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        mask = tmp_path / "missing" / "m.afm"
+        code = cli.main(["irrelevance", str(wav), str(tmp_path / "o.wav"), "--mask-out", str(mask)])
+        assert code == 74
+        assert "audfb:" in capsys.readouterr().err
+
     def test_garbage_container_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.afc"
         bad.write_bytes(b"this is not a container\n")

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import audfb
 from audfb import container, masking
-from audfb.errors import ContainerError, ShapeError
+from audfb.errors import ContainerError, ShapeError, UnsupportedConfigError
 from conftest import tone_plus_noise
 
 
@@ -208,3 +210,68 @@ def test_claimed_length_checked_against_payload_before_rebuild(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(blob) + 2**20
+
+
+@pytest.mark.parametrize("claimed", [2**18, 2**19, 2**20])
+def test_claimed_length_with_one_coefficient_per_channel_refused_before_rebuild(
+    tmp_path, rng, claimed
+):
+    """Every channel line records d = L, so the payload holds one coefficient
+    per channel and passes its size check. The recorded dilations show that
+    the windows span far more bins than that, and the file is refused before
+    a bank of the claimed length is built."""
+    head, _, _ = _valid_container(tmp_path, rng).read_bytes().partition(b"\npayload\n")
+    lines = head.replace(b"signal_length 1024", b"signal_length %d" % claimed).split(b"\n")
+    lines = [
+        b" ".join(line.split(b" ")[:-1] + [b"%d" % claimed]) if line.startswith(b"channel ")
+        else line
+        for line in lines
+    ]
+    channels = sum(line.startswith(b"channel ") for line in lines)
+    blob = b"\n".join(lines) + b"\npayload\n" + bytes(16 * channels)
+    bad = tmp_path / "bad.afc"
+    bad.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="window spans"):
+            container.read_coefficients(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(blob) + 2**20
+
+
+@given(
+    scale=st.sampled_from([audfb.ERB, audfb.BARK]),
+    channels_per_unit=st.floats(0.5, 4.0),
+    f_min=st.one_of(st.just(0.0), st.floats(20.0, 1000.0)),
+    f_max=st.floats(1500.0, 4000.0),
+    prototype=st.sampled_from(sorted(audfb.filterbank.PROTOTYPES)),
+    r_bw=st.floats(0.3, 3.0),
+    r_d=st.floats(0.3, 3.0),
+    dc_filter=st.booleans(),
+    parseval=st.booleans(),
+    signal_length=st.sampled_from([96, 256, 1000, 1024, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_banks_read_back(
+    tmp_path, scale, channels_per_unit, f_min, f_max, prototype, r_bw, r_d, dc_filter,
+    parseval, signal_length, seed,
+):
+    """Containers of any bank build_audlet makes pass the reader's checks."""
+    try:
+        fb = build_bank(
+            parseval, scale=scale, channels_per_unit=channels_per_unit, f_min=f_min,
+            f_max=f_max, prototype=prototype, r_bw=r_bw, r_d=r_d, dc_filter=dc_filter,
+            signal_length=signal_length,
+        )
+    except UnsupportedConfigError:
+        assume(False)
+    coeffs = audfb.analyze(fb, np.random.default_rng(seed).standard_normal(signal_length))
+    path = tmp_path / "random.afc"
+    container.write_coefficients(path, fb, coeffs, trim_length=signal_length)
+    fb2, coeffs2, _ = container.read_coefficients(path)
+    np.testing.assert_array_equal(fb2.filters, fb.filters)
+    np.testing.assert_array_equal(fb2.decimations, fb.decimations)
+    assert all(np.array_equal(a, b) for a, b in zip(coeffs, coeffs2))

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import audfb
 import dense_oracle as oracle
@@ -243,6 +245,39 @@ class TestEstimateBounds:
         assert peak < 8 * 2**20
         assert report.bounds.lower > 0.0
 
+    @given(
+        scale=st.sampled_from([audfb.ERB, audfb.BARK]),
+        channels_per_unit=st.floats(0.5, 3.0),
+        f_min=st.one_of(st.just(0.0), st.floats(30.0, 800.0)),
+        prototype=st.sampled_from(sorted(filterbank.PROTOTYPES)),
+        r_bw=st.floats(0.5, 2.0),
+        signal_length=st.sampled_from([128, 256, 384, 512]),
+        factor=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_dense_eigen_matches_walnut_matrix_oracle(
+        self, scale, channels_per_unit, f_min, prototype, r_bw, signal_length, factor
+    ):
+        """The D x D fibre blocks give the eigenvalue extremes of the whole
+        L x L DFT-domain matrix, and diag-dominance brackets them."""
+        try:
+            fb = audfb.build_audlet(
+                f_min, 4000.0, channels_per_unit, scale, sample_rate=8000.0,
+                signal_length=signal_length, prototype=prototype, r_bw=r_bw,
+            )
+        except UnsupportedConfigError:
+            assume(False)
+        assume(np.all(signal_length % (factor * fb.decimations) == 0))
+        fb = dataclasses.replace(fb, decimations=factor * fb.decimations)
+        tight = audfb.estimate_bounds(fb, method="dense-eigen").bounds
+        w = np.linalg.eigvalsh(oracle.walnut_matrix(fb))
+        B = w[-1]
+        assert abs(tight.lower - max(w[0], 0.0)) <= 1e-12 * B
+        assert abs(tight.upper - B) <= 1e-12 * B
+        loose = audfb.estimate_bounds(fb, method="diag-dominance").bounds
+        assert loose.lower <= tight.lower + 1e-12 * B
+        assert tight.upper <= loose.upper + 1e-12 * B
+
     def test_dense_eigen_size_ceiling(self):
         fb = audfb.build_audlet(
             0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=2048
@@ -378,6 +413,15 @@ def delayed_dual_pair(delay=3):
     return fb, dual
 
 
+def zero_bank(fb):
+    return audfb.FilterBank(
+        filters=np.zeros_like(fb.filters),
+        decimations=fb.decimations,
+        sample_rate=fb.sample_rate,
+        one_sided=fb.one_sided,
+    )
+
+
 class TestPRResidual:
     def test_painless_dual_is_perfect(self):
         fb = small_painless_bank()
@@ -387,19 +431,60 @@ class TestPRResidual:
 
     def test_zero_synthesis_bank_deviates_fully(self):
         fb, _ = delayed_dual_pair()
-        zero = audfb.FilterBank(
-            filters=np.zeros_like(fb.filters),
-            decimations=fb.decimations,
-            sample_rate=fb.sample_rate,
-            one_sided=False,
-        )
-        assert audfb.pr_residual(fb, zero).max_deviation == pytest.approx(1.0)
+        assert audfb.pr_residual(fb, zero_bank(fb)).max_deviation == pytest.approx(1.0)
 
     def test_recovers_artificial_delay(self):
         fb, delayed = delayed_dual_pair(delay=3)
         result = audfb.pr_residual(fb, delayed)
         assert result.delay == 3
         assert result.max_deviation <= 1e-10
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda: (small_painless_bank(), audfb.painless_dual(small_painless_bank())),
+            lambda: delayed_dual_pair(delay=0),
+            lambda: delayed_dual_pair(delay=3),
+            lambda: delayed_dual_pair(delay=389),
+            lambda: (small_painless_bank(), audfb.adjoint_bank(small_painless_bank())),
+            lambda: (doubled(small_painless_bank(256)),
+                     audfb.adjoint_bank(doubled(small_painless_bank(256)))),
+            lambda: (painless_gabor(), audfb.painless_dual(painless_gabor())),
+            lambda: (delayed_dual_pair()[0], zero_bank(delayed_dual_pair()[0])),
+            lambda: (random_full_bank(64, [2, 4], seed=230),
+                     random_full_bank(64, [2, 4], seed=231, scale=0.1)),
+            lambda: (random_full_bank(96, [1, 3, 6], seed=232, scale=0.2),
+                     random_full_bank(96, [1, 3, 6], seed=233, scale=0.2)),
+        ],
+        ids=["dual", "delay-0", "delay-3", "delay-389", "adjoint", "doubled-adjoint",
+             "gabor-dual", "zero", "random-a", "random-b"],
+    )
+    def test_matches_exhaustive_oracle(self, make_pair):
+        """The pruned search finds the deviation of the search over all L
+        delays, and its delay wherever the best deviation is not tied."""
+        fb_ana, fb_syn = make_pair()
+        delay, deviation, devs = oracle.pr_residual(fb_ana, fb_syn)
+        result = audfb.pr_residual(fb_ana, fb_syn)
+        assert abs(result.max_deviation - deviation) <= 1e-12 * max(1.0, deviation)
+        others = np.delete(devs, delay)
+        if np.all(others == devs[delay]) or others.min() - devs[delay] > 1e-9:
+            assert result.delay == delay
+
+    @given(
+        L=st.sampled_from([16, 48, 64, 96]),
+        decimations=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4),
+        scale=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_pairs_match_exhaustive_oracle(self, L, decimations, scale, seed):
+        fb_ana = random_full_bank(L, decimations, seed=seed)
+        fb_syn = random_full_bank(L, decimations, seed=seed + 1, scale=scale)
+        delay, deviation, devs = oracle.pr_residual(fb_ana, fb_syn)
+        result = audfb.pr_residual(fb_ana, fb_syn)
+        assert abs(result.max_deviation - deviation) <= 1e-12 * max(1.0, deviation)
+        if np.delete(devs, delay).min() - devs[delay] > 1e-9:
+            assert result.delay == delay
 
     def test_mismatched_banks_rejected(self, default_erb_bank, small_erb_bank):
         with pytest.raises(ShapeError):
