@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
@@ -276,9 +277,15 @@ def _cmd_irrelevance(args) -> int:
         raise _CliFailure(_EX_USAGE, f"masking model: {exc}") from exc
     masked, mask, fraction = irrelevance_filter(fb, padded, model)
     x = synthesize(painless_dual(fb), masked)
-    _write_wav(args.output, rate, np.real(x[:n]))
+    # a failed write leaves neither file behind
     if args.mask_out is not None:
         container.write_mask(args.mask_out, fb, mask, trim_length=n)
+    try:
+        _write_wav(args.output, rate, np.real(x[:n]))
+    except OSError:
+        if args.mask_out is not None:
+            Path(args.mask_out).unlink(missing_ok=True)
+        raise
     print("%.17g" % fraction)
     return 0
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import scales
 from .errors import ContainerError
-from .filterbank import PROTOTYPES, FilterBank, _audlet_channels, _check_coefficients
-from .filterbank import build_audlet, parseval_normalize
+from .filterbank import PROTOTYPES, FilterBank, _audlet_channels, _channel_count
+from .filterbank import _check_coefficients, build_audlet, parseval_normalize
 from .masking import MaskSymbol
 
 __all__ = ["write_coefficients", "read_coefficients", "write_mask", "read_mask"]
@@ -97,6 +97,14 @@ def _parse_flag(fields: dict, key: str) -> bool:
     return bool(value)
 
 
+def _rebuild(step, params: dict):
+    """step(**params), any failure reported as a ContainerError."""
+    try:
+        return step(**params)
+    except Exception as exc:
+        raise ContainerError(f"container parameters do not build a bank: {exc}") from exc
+
+
 def _read(path, kind: str):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -158,13 +166,12 @@ def _read(path, kind: str):
         r_d=_parse(fields, "r_d", float),
         dc_filter=_parse_flag(fields, "dc_filter"),
     )
-    try:
-        centers, gammas = _audlet_channels(**params)
-    except Exception as exc:
-        raise ContainerError(f"container parameters do not build a bank: {exc}") from exc
-    if not len(centers) == len(channel_rows) == n_channels:
+    # the count is compared before a layout of that many channels is made
+    count = _rebuild(_channel_count, params)
+    if not count == len(channel_rows) == n_channels:
         raise ContainerError(f"header says {n_channels} channels, its parameters give "
-                             f"{len(centers)}, and it lists {len(channel_rows)}")
+                             f"{count}, and it lists {len(channel_rows)}")
+    centers, gammas = _rebuild(_audlet_channels, params)
     if not 0 <= trim_length <= L:
         raise ContainerError(f"trim_length {trim_length} outside [0, {L}]")
     # A window of dilation gamma is positive on at least gamma * bins_per_hz - 1
@@ -175,10 +182,7 @@ def _read(path, kind: str):
             raise ContainerError(f"channel {k} metadata does not match the rebuilt bank")
         if min(L, width * bins_per_hz - 2.0) > L // d:
             raise ContainerError(f"channel {k} window spans more than its {L // d} coefficients")
-    try:
-        fb = build_audlet(**params)
-    except Exception as exc:
-        raise ContainerError(f"container parameters do not build a bank: {exc}") from exc
+    fb = _rebuild(build_audlet, params)
     if _parse_flag(fields, "parseval"):
         fb = parseval_normalize(fb)
     if not np.array_equal(fb.decimations, [d for *_, d in channel_rows]):

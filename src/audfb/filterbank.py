@@ -147,6 +147,7 @@ class FilterBank:
         self._covers = tuple(_covers)
         self._view = None
         self._walnut = None  # Walnut terms {r: H_r}, filled by frame_diagnostics
+        self._inverse = None  # blocks of S^-1, likewise
         self.decimations = np.asarray(decimations, dtype=np.int64)
         if self.decimations.shape != (len(self._covers),):
             raise ShapeError("need one downsampling factor per channel")
@@ -302,30 +303,37 @@ def _window_cover(window, half_width: float, L: int, sample_rate: float,
     return int(j[start]), _take(values, start, n)
 
 
-def _audlet_channels(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
-                     prototype, r_bw, r_d, dc_filter) -> tuple[list[float], list[float]]:
-    """Check the arguments of :func:`build_audlet` and return the centers
-    and dilations (Hz) of all its channels, DC and Nyquist included."""
+def _channel_count(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
+                   dc_filter, **_) -> int:
+    """Check the range and density of :func:`build_audlet` and return its
+    channel count, DC and Nyquist included, without allocating."""
     if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
         raise DomainError("need 0 <= f_min < f_max <= sample_rate/2")
     if not (math.isfinite(channels_per_unit) and channels_per_unit > 0):
         raise DomainError("channels_per_unit must be positive and finite")
+    L = int(signal_length)
+    if L < 2:
+        raise DomainError("signal_length must be at least 2")
+    u_span = scales.scale_value(scale, f_max) - scales.scale_value(scale, f_min)
+    count = channels_per_unit * u_span  # checked before math.ceil, which rejects inf
+    if count > 4 * L:
+        raise DomainError(f"{count:.6g} channels exceed 4 * signal_length = {4 * L}")
+    return max(1, math.ceil(count)) + int(f_min > 0.0 and dc_filter) + 1
+
+
+def _audlet_channels(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
+                     prototype, r_bw, r_d, dc_filter) -> tuple[list[float], list[float]]:
+    """Check the arguments of :func:`build_audlet` and return the centers
+    and dilations (Hz) of all its channels, DC and Nyquist included."""
+    n = _channel_count(f_min, f_max, channels_per_unit, scale, sample_rate=sample_rate,
+                       signal_length=signal_length, dc_filter=dc_filter)
     if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d)):
         raise DomainError("r_bw and r_d must be positive and finite")
     if prototype not in PROTOTYPES:
         raise DomainError(f"unknown prototype {prototype!r}")
-    L = int(signal_length)
-    if L < 2:
-        raise DomainError("signal_length must be at least 2")
-
-    u_lo = scales.scale_value(scale, f_min)
-    u_hi = scales.scale_value(scale, f_max)
-    count = channels_per_unit * (u_hi - u_lo)  # checked before math.ceil, which rejects inf
-    if count > 4 * L:
-        raise DomainError(f"{count:.6g} channels exceed 4 * signal_length = {4 * L}")
-    n_regular = max(1, math.ceil(count))
+    n_regular = n - 1 - int(f_min > 0.0 and dc_filter)  # less Nyquist and DC
     centers = scales.inverse_scale(
-        scale, u_lo + np.arange(n_regular) / channels_per_unit
+        scale, scales.scale_value(scale, f_min) + np.arange(n_regular) / channels_per_unit
     )
     centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
     centers[0] = f_min

@@ -9,7 +9,11 @@ where H0 (the frequency response) collects the diagonal and the Hr for r >= 1
 (the alias components) collect everything off it. This module computes those
 terms once per bank, over the r that occur, and keeps them on the bank (H0
 comes from :mod:`audfb.filterbank` and is re-exported here). The bounds,
-:func:`walnut_apply` and :func:`alias_components` all read them. It also
+:func:`walnut_apply` and :func:`alias_components` all read them, and so does
+the inverse of S that preconditions CG: the connected components of the
+links j ~ j - r*L/D (polyphase blocks of the equivalent uniform bank, split
+further) are small Hermitian blocks of S, each inverted once per bank unless
+one is too large or not clearly positive definite. It also
 classifies banks (painless, diagonally dominant), measures the
 perfect-reconstruction residual of an analysis/synthesis pair from the same
 kind of terms, and rewrites a non-uniform bank as an equivalent uniform one.
@@ -43,6 +47,9 @@ __all__ = [
     "pr_residual",
     "equivalent_uniform",
 ]
+
+# Largest block of S, in bins, that _component_inverse factors.
+_COMPONENT_BUDGET = 128
 
 # Dense bound estimation writes the Walnut terms into L/D Hermitian D x D
 # blocks and solves them in O(L * D^2); refuse above this signal length.
@@ -162,6 +169,58 @@ def _frame_terms(fb: FilterBank) -> dict[int, np.ndarray]:
     return fb._walnut
 
 
+def _component_inverse(fb: FilterBank) -> tuple:
+    """S^-1 in the DFT domain as read-only (bins, inverse) pairs, one per
+    block size: the terms link bin j with bin j - r*L/D where H_r[j] != 0,
+    each connected component is a block of S, and one batched ``eigh`` per
+    size gives U diag(1/w) U^H. Kept on the bank; empty when the bank is
+    painless, a component exceeds ``_COMPONENT_BUDGET`` bins (checked before
+    any block is made) or an eigenvalue is not clearly positive."""
+    if fb._inverse is not None:
+        return fb._inverse
+    fb._inverse = ()
+    terms, L = _frame_terms(fb), fb.signal_length
+    if len(terms) == 1:
+        return ()
+    hop = L // _lcm_decimation(fb.decimations)
+    rows = [np.flatnonzero(H) if r else np.arange(L) for r, H in terms.items()]
+    cols = np.concatenate([(j - r * hop) % L for r, j in zip(terms, rows)])
+    values = np.concatenate([H[j] for H, j in zip(terms.values(), rows)])
+    rows = np.concatenate(rows)
+    # min-label propagation with pointer jumping over the links (entries past
+    # the L diagonal ones) labels each bin with the first bin of its component
+    labels, previous = np.arange(L), None
+    while not np.array_equal(labels, previous):
+        previous = labels.copy()
+        np.minimum.at(labels, rows[L:], labels[cols[L:]])
+        np.minimum.at(labels, cols[L:], labels[rows[L:]])
+        labels = labels[labels]
+    size = np.bincount(labels, minlength=L)[labels]
+    if size.max() > _COMPONENT_BUDGET:
+        return ()
+    # per size, the bins of each block in order, and each bin's block and place
+    order = np.lexsort((labels, size))
+    block, place = np.empty(L, dtype=np.int64), np.empty(L, dtype=np.int64)
+    groups = []
+    for n in np.unique(size).tolist():
+        bins = order[size[order] == n].reshape(-1, n)
+        block[bins], place[bins] = np.arange(bins.shape[0])[:, None], np.arange(n)
+        S = np.zeros((bins.shape[0], n, n), dtype=np.complex128)
+        at = size[rows] == n
+        S[block[rows[at]], place[rows[at]], place[cols[at]]] = values[at]
+        groups.append((bins, *np.linalg.eigh(S)))
+    spectrum = np.concatenate([w.ravel() for _, w, _ in groups])
+    if not spectrum.min() > size.max() * np.finfo(float).eps * spectrum.max():
+        return ()
+    inverses = []
+    for bins, w, U in groups:
+        inverse = (U / w[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+        bins.flags.writeable = inverse.flags.writeable = False
+        inverses.append((bins, inverse))
+    fb._inverse = tuple(inverses)
+    return fb._inverse
+
+
 def alias_components(fb: FilterBank) -> np.ndarray:
     """Off-diagonal terms Hr for r = 1 .. D-1, D = lcm(d_k), as an array
     of shape (D-1, L).
@@ -269,7 +328,9 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
         raise ShapeError(f"signal length {x.shape[0]} does not match bank length {L}")
     X = np.fft.fft(x)
     hop = L // _lcm_decimation(fb.decimations)
-    return np.fft.ifft(sum(H * np.roll(X, r * hop) for r, H in _frame_terms(fb).items()))
+    XX = np.concatenate([X, X])  # X[(j - s) mod L] over j is XX[L - s : 2L - s]
+    terms = _frame_terms(fb).items()
+    return np.fft.ifft(sum(H * XX[L - r * hop : 2 * L - r * hop] for r, H in terms))
 
 
 def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:

@@ -1,5 +1,7 @@
 """Shared fixtures and deterministic reference signals for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ def random_full_bank(
         sample_rate=float(L),
         one_sided=False,
     )
+
+
+def scaled_decimations(fb, factor):
+    """The bank with every decimation multiplied by ``factor``."""
+    return dataclasses.replace(fb, decimations=factor * fb.decimations)
+
+
+def painless_gabor(L=64, a=4, M=8):
+    """Uniform bank of M modulates of an L/a-bin Hann window centred at DC."""
+    window = np.zeros(L)
+    window[: L // a] = np.hanning(L // a + 2)[1:-1]
+    return audfb.build_gabor(np.roll(window, -(L // a) // 2), a, M, L)
 
 
 @pytest.fixture(scope="session")

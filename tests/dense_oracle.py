@@ -3,14 +3,16 @@
 Each function works on the dense (channels, L) transfers ``fb.filters`` and
 evaluates its formula over all L bins, as the library did before it stored
 filters as circular covers. The tests compare the cover-based library
-against these, so nothing here may call the library's spectral code.
+against these, so nothing here may call the library's spectral code, with
+the one exception named above the solver oracles at the end.
 """
 
 import math
 
 import numpy as np
 
-from audfb import filterbank, finite_frames
+from audfb import filterbank, finite_frames, frame_diagnostics, synthesis
+from audfb.errors import ConvergenceError
 
 
 def _mirror_spectrum(V):
@@ -181,3 +183,64 @@ def pr_residual(fb_ana, fb_syn):
         ramp = ramp * base
     best = int(np.argmin(devs))
     return best, max(float(devs[best]), rest), devs
+
+
+# The solver oracles below run the simple code paths (one np.roll per term,
+# the 1/H0 preconditioner) on the library's own cached Walnut terms and
+# right-hand side, so the fast paths can be held to bit-for-bit equality.
+
+
+def roll_walnut_apply(fb, x):
+    """Walnut sum with one np.roll copy of the spectrum per alias term r."""
+    terms = frame_diagnostics._frame_terms(fb)
+    hop = fb.signal_length // math.lcm(*(int(d) for d in fb.decimations))
+    X = np.fft.fft(x)
+    return np.fft.ifft(sum(H * np.roll(X, r * hop) for r, H in terms.items()))
+
+
+def response_pcg(fb, coefficients, tolerance=1e-10, max_iterations=None):
+    """Conjugate gradients preconditioned by 1/H0, with roll_walnut_apply.
+    Returns (x, residuals), or raises ConvergenceError like the library."""
+    L = fb.signal_length
+    max_iterations = L if max_iterations is None else max_iterations
+    b = synthesis._rhs(fb, coefficients)
+    b_norm = float(np.linalg.norm(b))
+    response = filterbank.frequency_response(fb)
+    residuals = []
+    x = np.zeros(L, dtype=np.complex128)
+    r = b.copy()
+    z = np.fft.ifft(np.fft.fft(r) / response)
+    p = z.copy()
+    rz = np.vdot(r, z)
+    for _ in range(max_iterations):
+        q = roll_walnut_apply(fb, p)
+        pq = np.vdot(p, q)
+        if not pq.real > 0.0:
+            raise ConvergenceError("not positive definite", residuals=residuals)
+        alpha = rz / pq
+        x = x + alpha * p
+        r = r - alpha * q
+        residuals.append(float(np.linalg.norm(r)) / b_norm)
+        if residuals[-1] <= tolerance:
+            return x, residuals
+        z = np.fft.ifft(np.fft.fft(r) / response)
+        rz_next = np.vdot(r, z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise ConvergenceError("above tolerance", residuals=residuals)
+
+
+def frame_algorithm(fb, coefficients, bounds, tolerance=1e-10):
+    """Neumann iteration x + 2/(A+B) (D c - S x) with roll_walnut_apply,
+    stopped on the relative update; returns (x, residuals)."""
+    relax = 2.0 / (bounds[0] + bounds[1])
+    b = synthesis._rhs(fb, coefficients)
+    x = np.zeros(fb.signal_length, dtype=np.complex128)
+    residuals = []
+    for _ in range(10000):
+        delta = relax * (b - roll_walnut_apply(fb, x))
+        x = x + delta
+        residuals.append(float(np.linalg.norm(delta)) / float(np.linalg.norm(x)))
+        if residuals[-1] <= tolerance:
+            break
+    return x, residuals

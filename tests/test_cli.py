@@ -188,6 +188,17 @@ class TestExitCodes:
         code = cli.main(["irrelevance", str(wav), str(tmp_path / "o.wav"), "--mask-out", str(mask)])
         assert code == 74
         assert "audfb:" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_wav_output_in_missing_directory_leaves_no_mask(self, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        mask = tmp_path / "m.afm"
+        out = tmp_path / "missing" / "o.wav"
+        code = cli.main(["irrelevance", str(wav), str(out), "--mask-out", str(mask)])
+        assert code == 74
+        assert "audfb:" in capsys.readouterr().err
+        assert not mask.exists()
 
     def test_garbage_container_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.afc"

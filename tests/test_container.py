@@ -241,6 +241,35 @@ def test_claimed_length_with_one_coefficient_per_channel_refused_before_rebuild(
     assert peak <= 2 * len(blob) + 2**20
 
 
+def test_forged_channel_density_refused_before_layout(tmp_path, rng):
+    """A header claiming L = 2^20 and a channel density just under the 4 * L
+    cap describes about four million channels but lists a few dozen (each
+    with d = L, so the payload size check passes). The counts are compared
+    before the layout of those channels is computed."""
+    claimed = 2**20
+    span = audfb.scales.scale_value(audfb.ERB, 4000.0) - audfb.scales.scale_value(audfb.ERB, 0.0)
+    density = 0.99 * 4 * claimed / span
+    head, _, _ = _valid_container(tmp_path, rng).read_bytes().partition(b"\npayload\n")
+    lines = [
+        b"channels_per_unit %r" % density if line.startswith(b"channels_per_unit ")
+        else b" ".join(line.split(b" ")[:-1] + [b"%d" % claimed]) if line.startswith(b"channel ")
+        else line
+        for line in head.replace(b"signal_length 1024", b"signal_length %d" % claimed).split(b"\n")
+    ]
+    channels = sum(line.startswith(b"channel ") for line in lines)
+    blob = b"\n".join(lines) + b"\npayload\n" + bytes(16 * channels)
+    bad = tmp_path / "bad.afc"
+    bad.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="channels"):
+            container.read_coefficients(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(blob) + 2**20
+
+
 @given(
     scale=st.sampled_from([audfb.ERB, audfb.BARK]),
     channels_per_unit=st.floats(0.5, 4.0),

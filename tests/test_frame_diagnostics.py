@@ -19,7 +19,7 @@ import audfb
 import dense_oracle as oracle
 from audfb import filterbank, finite_frames, frame_diagnostics
 from audfb.errors import DomainError, NotAFrameError, ShapeError, UnsupportedConfigError
-from conftest import random_full_bank
+from conftest import painless_gabor, random_full_bank, scaled_decimations
 
 
 def dense_operator(fb):
@@ -59,11 +59,12 @@ def doubled(fb):
     return dataclasses.replace(fb, decimations=2 * fb.decimations)
 
 
-def painless_gabor(L=64, a=4, M=8):
-    """Uniform bank of M modulates of an L/a-bin Hann window centred at DC."""
-    window = np.zeros(L)
-    window[: L // a] = np.hanning(L // a + 2)[1:-1]
-    return audfb.build_gabor(np.roll(window, -(L // a) // 2), a, M, L)
+def audlet_rect(L, factor):
+    """ERB, V=3, rect prototype at 8 kHz with decimations multiplied."""
+    fb = audfb.build_audlet(
+        0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=L, prototype="rect"
+    )
+    return scaled_decimations(fb, factor)
 
 
 class TestFrequencyResponse:
@@ -372,6 +373,46 @@ class TestWalnutApply:
         assert np.max(np.abs(fast - reference)) <= 1e-12 * np.max(np.abs(reference))
         assert np.array_equal(audfb.walnut_apply(fb, x), oracle.walnut_apply(fb, x))
 
+    @given(
+        scale=st.sampled_from([audfb.ERB, audfb.BARK]),
+        channels_per_unit=st.floats(0.5, 3.0),
+        f_min=st.one_of(st.just(0.0), st.floats(30.0, 800.0)),
+        prototype=st.sampled_from(sorted(filterbank.PROTOTYPES)),
+        r_bw=st.floats(0.5, 2.0),
+        signal_length=st.sampled_from([128, 256, 384, 512]),
+        factor=st.sampled_from([1, 2, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_audlet_banks_match_roll_oracle(
+        self, scale, channels_per_unit, f_min, prototype, r_bw, signal_length, factor, seed
+    ):
+        """Each shifted spectrum is a slice of the doubled spectrum; the
+        products and their order are those of one np.roll per term."""
+        try:
+            fb = audfb.build_audlet(
+                f_min, 4000.0, channels_per_unit, scale, sample_rate=8000.0,
+                signal_length=signal_length, prototype=prototype, r_bw=r_bw,
+            )
+        except UnsupportedConfigError:
+            assume(False)
+        assume(np.all(signal_length % (factor * fb.decimations) == 0))
+        fb = scaled_decimations(fb, factor)
+        x = np.random.default_rng(seed).standard_normal(signal_length)
+        assert np.array_equal(audfb.walnut_apply(fb, x), oracle.roll_walnut_apply(fb, x))
+
+    @given(
+        L=st.sampled_from([16, 48, 64, 96]),
+        decimations=st.lists(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_full_banks_match_roll_oracle(self, L, decimations, seed):
+        fb = random_full_bank(L, decimations, seed=seed)
+        gen = np.random.default_rng(seed + 1)
+        x = gen.standard_normal(L) + 1j * gen.standard_normal(L)
+        assert np.array_equal(audfb.walnut_apply(fb, x), oracle.roll_walnut_apply(fb, x))
+
     def test_zero_in_zero_out(self, default_erb_bank):
         out = audfb.walnut_apply(default_erb_bank, np.zeros(16384))
         assert np.all(out == 0.0)
@@ -388,6 +429,79 @@ class TestWalnutApply:
     def test_length_mismatch(self, default_erb_bank):
         with pytest.raises(ShapeError):
             audfb.walnut_apply(default_erb_bank, np.zeros(100))
+
+
+class TestComponentInverse:
+    """S^-1 from the connected blocks of the Walnut terms."""
+
+    @staticmethod
+    def invert(fb, y):
+        Y = np.fft.fft(y)
+        out = np.zeros_like(Y)
+        for bins, inverse in frame_diagnostics._component_inverse(fb):
+            out[bins] = np.einsum("cab,cb->ca", inverse, Y[bins])
+        return np.fft.ifft(out)
+
+    @pytest.mark.parametrize(
+        "make_bank",
+        [
+            lambda: doubled(small_painless_bank(L=1024)),
+            lambda: doubled(audfb.build_audlet(
+                0.0, 4000.0, 6.0, audfb.ERB, sample_rate=8000.0, signal_length=1024
+            )),
+            lambda: audlet_rect(1024, 2),
+            lambda: doubled(audfb.build_audlet(
+                0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=4096
+            )),
+            lambda: random_full_bank(256, [2, 4, 8, 4, 2, 8], seed=213),
+        ],
+    )
+    def test_inverts_walnut_apply(self, rng, make_bank):
+        fb = make_bank()
+        assert not audfb.painless_check(fb)
+        x = rng.standard_normal(fb.signal_length)
+        blocks = frame_diagnostics._component_inverse(fb)
+        assert blocks
+        assert max(bins.shape[1] for bins, _ in blocks) <= frame_diagnostics._COMPONENT_BUDGET
+        for bins, inverse in blocks:
+            assert not bins.flags.writeable and not inverse.flags.writeable
+        # every bin belongs to exactly one block
+        assert np.array_equal(np.sort(np.concatenate([b.ravel() for b, _ in blocks])),
+                              np.arange(fb.signal_length))
+        back = self.invert(fb, audfb.walnut_apply(fb, x))
+        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_painless_bank_has_no_blocks(self):
+        assert frame_diagnostics._component_inverse(small_painless_bank()) == ()
+
+    def test_over_budget_component_has_no_blocks(self, monkeypatch):
+        """Quadrupled decimations on the ERB/rect bank join all 1024 bins
+        (and make no frame); the doubled bank is a frame whose largest
+        component has 12 bins, refused under a budget of 11."""
+        assert frame_diagnostics._component_inverse(audlet_rect(1024, 4)) == ()
+        blocks = frame_diagnostics._component_inverse(audlet_rect(1024, 2))
+        assert max(bins.shape[1] for bins, _ in blocks) == 12
+        monkeypatch.setattr(frame_diagnostics, "_COMPONENT_BUDGET", 11)
+        assert frame_diagnostics._component_inverse(audlet_rect(1024, 2)) == ()
+
+    def test_singular_operator_has_no_blocks(self):
+        """Three channels with D = L = 64 give S rank at most 4: one
+        component of 64 bins, within the budget, with zero eigenvalues."""
+        fb = random_full_bank(64, [64, 64, 32], seed=5)
+        assert frame_diagnostics._COMPONENT_BUDGET >= 64
+        assert frame_diagnostics._component_inverse(fb) == ()
+
+    def test_replaced_bank_gets_its_own_factorization(self, rng):
+        """Quadrupled decimations make no frame and no blocks; halving them
+        again by dataclasses.replace gives a frame with blocks of its own."""
+        fb = scaled_decimations(small_painless_bank(L=1024), 4)
+        assert frame_diagnostics._component_inverse(fb) == ()
+        other = dataclasses.replace(fb, decimations=fb.decimations // 2)
+        assert other._covers is fb._covers and other._inverse is None
+        assert frame_diagnostics._component_inverse(other)
+        x = rng.standard_normal(1024)
+        back = self.invert(other, audfb.walnut_apply(other, x))
+        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def delayed_dual_pair(delay=3):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import audfb
+import dense_oracle as oracle
 from audfb import frame_diagnostics, synthesis
 from audfb.errors import (
     ConvergenceError,
@@ -12,7 +13,7 @@ from audfb.errors import (
     ShapeError,
     UnsupportedConfigError,
 )
-from conftest import random_full_bank, speech_like
+from conftest import painless_gabor, random_full_bank, scaled_decimations, speech_like
 
 
 def gap_bank():
@@ -194,6 +195,83 @@ class TestCG:
             synthesis.cg_synthesize(fb, c)
 
 
+def audlet(L, V=3.0, prototype="hann"):
+    return audfb.build_audlet(
+        0.0, 4000.0, V, audfb.ERB, sample_rate=8000.0, signal_length=L, prototype=prototype
+    )
+
+
+def outcome(solve):
+    """(x or None, residual history) of a solve that may raise ConvergenceError."""
+    try:
+        x, residuals = solve()
+    except ConvergenceError as exc:
+        return None, list(exc.residuals)
+    return x, list(residuals)
+
+
+class TestComponentPreconditioner:
+    """CG preconditioned by S^-1 from the operator's connected blocks, and
+    its fallback to 1/H0, checked against the oracle's 1/H0 loop."""
+
+    @pytest.mark.parametrize(
+        "L, V, prototype",
+        [(1024, 3.0, "hann"), (1024, 6.0, "hann"), (1024, 3.0, "rect"), (4096, 3.0, "hann")],
+    )
+    def test_doubled_audlet_banks_converge_in_one_iteration(self, rng, L, V, prototype):
+        fb = scaled_decimations(audlet(L, V, prototype), 2)
+        assert not audfb.painless_check(fb)
+        x_true = rng.standard_normal(fb.signal_length)
+        c = audfb.analyze(fb, x_true)
+        x, trace = synthesis.cg_synthesize(fb, c, return_trace=True)
+        assert len(trace.residuals) == 1
+        assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
+
+    @pytest.mark.parametrize(
+        "make_bank",
+        [lambda: audlet(1024), lambda: audlet(512, 2.0, "gauss"), lambda: painless_gabor()],
+        ids=["erb_hann", "erb_gauss", "gabor"],
+    )
+    def test_painless_matches_response_oracle(self, rng, make_bank):
+        fb = make_bank()
+        c = audfb.analyze(fb, rng.standard_normal(fb.signal_length))
+        x, trace = synthesis.cg_synthesize(fb, c, return_trace=True)
+        x_ref, residuals = oracle.response_pcg(fb, c)
+        assert np.array_equal(x, x_ref)
+        assert trace.residuals == residuals
+
+    @staticmethod
+    def assert_replays_response_oracle(fb, rng):
+        """Without usable blocks CG runs exactly the 1/H0 iteration, down to
+        the residual history (and the error, when it does not converge)."""
+        assert frame_diagnostics._component_inverse(fb) == ()
+        c = audfb.analyze(fb, rng.standard_normal(fb.signal_length))
+
+        def solve():
+            x, trace = synthesis.cg_synthesize(fb, c, return_trace=True)
+            return x, trace.residuals
+
+        x, residuals = outcome(solve)
+        x_ref, residuals_ref = outcome(lambda: oracle.response_pcg(fb, c))
+        assert residuals == residuals_ref
+        assert (x is None) == (x_ref is None)
+        assert x is None or np.array_equal(x, x_ref)
+
+    def test_non_frame_over_budget_falls_back(self, rng):
+        """Quadrupled ERB/rect at L=1024: one component of all 1024 bins."""
+        fb = scaled_decimations(audlet(1024, prototype="rect"), 4)
+        self.assert_replays_response_oracle(fb, rng)
+
+    def test_singular_within_budget_falls_back(self, rng):
+        """D = L = 64 with three channels: S has rank at most 4."""
+        self.assert_replays_response_oracle(random_full_bank(64, [64, 64, 32], seed=5), rng)
+
+    def test_frame_over_budget_falls_back(self, rng, monkeypatch):
+        """The doubled L=4096 ERB bank is a frame with 13-bin components."""
+        monkeypatch.setattr(frame_diagnostics, "_COMPONENT_BUDGET", 12)
+        self.assert_replays_response_oracle(scaled_decimations(audlet(4096), 2), rng)
+
+
 class TestNeumann:
     """Relaxed fixed-point iteration with explicit bounds."""
 
@@ -236,6 +314,16 @@ class TestNeumann:
         for prev, cur in zip(errors, errors[1:]):
             if prev > 1e-13 * np.linalg.norm(x_true):
                 assert cur <= cap * prev
+
+    @pytest.mark.parametrize("painless", [True, False])
+    def test_matches_roll_oracle(self, rng, painless):
+        fb = audlet(1024) if painless else scaled_decimations(audlet(1024), 2)
+        c = audfb.analyze(fb, rng.standard_normal(1024))
+        bounds = audfb.estimate_bounds(fb).bounds
+        x, trace = synthesis.neumann_synthesize(fb, c, bounds=bounds, return_trace=True)
+        x_ref, residuals = oracle.frame_algorithm(fb, c, bounds)
+        assert np.array_equal(x, x_ref)
+        assert trace.residuals == residuals
 
     def test_zero_lower_bound_rejected(self, rng):
         fb = gap_bank()
