@@ -154,23 +154,23 @@ def _read(path, kind: str):
     if len(payload) != dtype.itemsize * sum(counts):
         raise ContainerError(f"payload holds {len(payload)} bytes, expected {dtype.itemsize * sum(counts)}")
 
-    params = dict(
+    shape = dict(
         f_min=_parse(fields, "f_min", float),
         f_max=_parse(fields, "f_max", float),
         channels_per_unit=_parse(fields, "channels_per_unit", float),
         scale=scale,
         sample_rate=_parse(fields, "sample_rate", float),
         signal_length=L,
-        prototype=fields.get("prototype", ""),
-        r_bw=_parse(fields, "r_bw", float),
-        r_d=_parse(fields, "r_d", float),
         dc_filter=_parse_flag(fields, "dc_filter"),
     )
     # the count is compared before a layout of that many channels is made
-    count = _rebuild(_channel_count, params)
+    n_regular, dc = _rebuild(_channel_count, shape)
+    count = n_regular + dc + 1  # the Nyquist channel is always there
     if not count == len(channel_rows) == n_channels:
         raise ContainerError(f"header says {n_channels} channels, its parameters give "
                              f"{count}, and it lists {len(channel_rows)}")
+    params = dict(shape, prototype=fields.get("prototype", ""),
+                  r_bw=_parse(fields, "r_bw", float), r_d=_parse(fields, "r_d", float))
     centers, gammas = _rebuild(_audlet_channels, params)
     if not 0 <= trim_length <= L:
         raise ContainerError(f"trim_length {trim_length} outside [0, {L}]")

@@ -304,9 +304,10 @@ def _window_cover(window, half_width: float, L: int, sample_rate: float,
 
 
 def _channel_count(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
-                   dc_filter, **_) -> int:
-    """Check the range and density of :func:`build_audlet` and return its
-    channel count, DC and Nyquist included, without allocating."""
+                   dc_filter) -> tuple[int, bool]:
+    """Check the range and density of :func:`build_audlet` and return, without
+    allocating, its number of regular channels and whether a DC channel is
+    prepended; a Nyquist channel is always appended."""
     if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
         raise DomainError("need 0 <= f_min < f_max <= sample_rate/2")
     if not (math.isfinite(channels_per_unit) and channels_per_unit > 0):
@@ -318,20 +319,19 @@ def _channel_count(f_min, f_max, channels_per_unit, scale, *, sample_rate, signa
     count = channels_per_unit * u_span  # checked before math.ceil, which rejects inf
     if count > 4 * L:
         raise DomainError(f"{count:.6g} channels exceed 4 * signal_length = {4 * L}")
-    return max(1, math.ceil(count)) + int(f_min > 0.0 and dc_filter) + 1
+    return max(1, math.ceil(count)), f_min > 0.0 and dc_filter
 
 
 def _audlet_channels(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
                      prototype, r_bw, r_d, dc_filter) -> tuple[list[float], list[float]]:
     """Check the arguments of :func:`build_audlet` and return the centers
     and dilations (Hz) of all its channels, DC and Nyquist included."""
-    n = _channel_count(f_min, f_max, channels_per_unit, scale, sample_rate=sample_rate,
-                       signal_length=signal_length, dc_filter=dc_filter)
+    n_regular, dc = _channel_count(f_min, f_max, channels_per_unit, scale, sample_rate=sample_rate,
+                                   signal_length=signal_length, dc_filter=dc_filter)
     if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d)):
         raise DomainError("r_bw and r_d must be positive and finite")
     if prototype not in PROTOTYPES:
         raise DomainError(f"unknown prototype {prototype!r}")
-    n_regular = n - 1 - int(f_min > 0.0 and dc_filter)  # less Nyquist and DC
     centers = scales.inverse_scale(
         scale, scales.scale_value(scale, f_min) + np.arange(n_regular) / channels_per_unit
     )
@@ -341,7 +341,7 @@ def _audlet_channels(f_min, f_max, channels_per_unit, scale, *, sample_rate, sig
 
     all_centers, all_gammas = list(centers), list(gammas)
     nyq = sample_rate / 2.0
-    if f_min > 0.0 and dc_filter:
+    if dc:
         all_centers.insert(0, 0.0)
         all_gammas.insert(0, 2.0 * f_min + r_bw * float(scales.bandwidth(scale, f_min)))
     all_centers.append(nyq)

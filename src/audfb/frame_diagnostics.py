@@ -12,8 +12,8 @@ comes from :mod:`audfb.filterbank` and is re-exported here). The bounds,
 :func:`walnut_apply` and :func:`alias_components` all read them, and so does
 the inverse of S that preconditions CG: the connected components of the
 links j ~ j - r*L/D (polyphase blocks of the equivalent uniform bank, split
-further) are small Hermitian blocks of S, each inverted once per bank unless
-one is too large or not clearly positive definite. It also
+further) are small Hermitian blocks of S, inverted once per bank unless
+they are too large or one is not clearly positive definite. It also
 classifies banks (painless, diagonally dominant), measures the
 perfect-reconstruction residual of an analysis/synthesis pair from the same
 kind of terms, and rewrites a non-uniform bank as an equivalent uniform one.
@@ -48,8 +48,10 @@ __all__ = [
     "equivalent_uniform",
 ]
 
-# Largest block of S, in bins, that _component_inverse factors.
+# Largest block of S, in bins, that _component_inverse factors, and the
+# most entries of all its blocks together, per bin.
 _COMPONENT_BUDGET = 128
+_ENTRY_BUDGET = 32
 
 # Dense bound estimation writes the Walnut terms into L/D Hermitian D x D
 # blocks and solves them in O(L * D^2); refuse above this signal length.
@@ -172,10 +174,12 @@ def _frame_terms(fb: FilterBank) -> dict[int, np.ndarray]:
 def _component_inverse(fb: FilterBank) -> tuple:
     """S^-1 in the DFT domain as read-only (bins, inverse) pairs, one per
     block size: the terms link bin j with bin j - r*L/D where H_r[j] != 0,
-    each connected component is a block of S, and one batched ``eigh`` per
-    size gives U diag(1/w) U^H. Kept on the bank; empty when the bank is
-    painless, a component exceeds ``_COMPONENT_BUDGET`` bins (checked before
-    any block is made) or an eigenvalue is not clearly positive."""
+    and each connected component is a block of S, inverted by one batched
+    ``inv`` per size. Kept on the bank, so it pays off over repeated solves;
+    empty when the bank is painless, when the largest component exceeds
+    ``_COMPONENT_BUDGET`` bins or all blocks together exceed
+    ``_ENTRY_BUDGET * L`` entries (both checked before any block is made),
+    or when a block is not clearly positive definite."""
     if fb._inverse is not None:
         return fb._inverse
     fb._inverse = ()
@@ -196,28 +200,38 @@ def _component_inverse(fb: FilterBank) -> tuple:
         np.minimum.at(labels, cols[L:], labels[rows[L:]])
         labels = labels[labels]
     size = np.bincount(labels, minlength=L)[labels]
-    if size.max() > _COMPONENT_BUDGET:
+    # size.sum() is the number of entries of all blocks together
+    if size.max() > _COMPONENT_BUDGET or size.sum() > _ENTRY_BUDGET * L:
         return ()
-    # per size, the bins of each block in order, and each bin's block and place
+    # Bins in order of block size, then block. The blocks lie row-major in
+    # one flat array in that order, so a block starts after as many entries
+    # as the sizes of the bins before it add up to.
     order = np.lexsort((labels, size))
-    block, place = np.empty(L, dtype=np.int64), np.empty(L, dtype=np.int64)
-    groups = []
-    for n in np.unique(size).tolist():
-        bins = order[size[order] == n].reshape(-1, n)
-        block[bins], place[bins] = np.arange(bins.shape[0])[:, None], np.arange(n)
-        S = np.zeros((bins.shape[0], n, n), dtype=np.complex128)
-        at = size[rows] == n
-        S[block[rows[at]], place[rows[at]], place[cols[at]]] = values[at]
-        groups.append((bins, *np.linalg.eigh(S)))
-    spectrum = np.concatenate([w.ravel() for _, w, _ in groups])
-    if not spectrum.min() > size.max() * np.finfo(float).eps * spectrum.max():
-        return ()
-    inverses = []
-    for bins, w, U in groups:
-        inverse = (U / w[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
-        bins.flags.writeable = inverse.flags.writeable = False
-        inverses.append((bins, inverse))
-    fb._inverse = tuple(inverses)
+    n = size[order]
+    before = np.cumsum(n) - n
+    head = np.flatnonzero(np.diff(labels[order], prepend=-1))  # of each block
+    start = np.repeat(head, np.diff(head, append=L))
+    place, base = np.empty(L, dtype=np.int64), np.empty(L, dtype=np.int64)
+    place[order], base[order] = np.arange(L) - start, before[start]
+    flat = np.zeros(int(size.sum()), dtype=np.complex128)
+    flat[base[rows] + place[rows] * size[rows] + place[cols]] = values
+    # Clearly positive definite: S - floor*I has a Cholesky factor, floor
+    # being n*eps times the largest row sum of |S| (a bound on its spectrum).
+    floor = size.max() * np.finfo(float).eps * np.bincount(rows, np.abs(values)).max()
+    groups = np.flatnonzero(np.diff(n, prepend=0)).tolist()
+    blocks = []
+    for p, q in zip(groups, groups[1:] + [L]):
+        k = int(n[p])
+        S = flat[before[p] : before[p] + (q - p) * k].reshape(-1, k, k)
+        try:
+            np.linalg.cholesky(S - floor * np.eye(k))
+        except np.linalg.LinAlgError:
+            return ()
+        S[...] = np.linalg.inv(S)  # in place: the blocks share one array
+        bins = order[p:q].reshape(-1, k)
+        bins.flags.writeable = S.flags.writeable = False
+        blocks.append((bins, S))
+    fb._inverse = tuple(blocks)
     return fb._inverse
 
 

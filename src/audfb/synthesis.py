@@ -129,8 +129,10 @@ def cg_synthesize(
     the exact inverse of S to every residual: z = idft(dft(r) / H0) on a
     painless bank, otherwise the inverses of the small connected blocks of S
     in the DFT domain, factored once per bank (see
-    :mod:`audfb.frame_diagnostics`). A bank whose largest block is over the
-    size budget, or not clearly positive definite, gets 1/H0 alone.
+    :mod:`audfb.frame_diagnostics`). That factorization is kept on the
+    bank and pays off when one bank is solved repeatedly. A bank whose
+    blocks are over the size budgets, or not clearly positive definite,
+    gets 1/H0 alone.
 
     Parameters
     ----------

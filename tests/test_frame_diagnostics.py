@@ -484,11 +484,20 @@ class TestComponentInverse:
         monkeypatch.setattr(frame_diagnostics, "_COMPONENT_BUDGET", 11)
         assert frame_diagnostics._component_inverse(audlet_rect(1024, 2)) == ()
 
-    def test_singular_operator_has_no_blocks(self):
+    def test_over_budget_entries_have_no_blocks(self, monkeypatch):
+        """The doubled ERB/rect bank's blocks hold 7.83 L entries together."""
+        monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 8)
+        blocks = frame_diagnostics._component_inverse(audlet_rect(1024, 2))
+        assert sum(bins.size * bins.shape[1] for bins, _ in blocks) == 7.83203125 * 1024
+        monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 7)
+        assert frame_diagnostics._component_inverse(audlet_rect(1024, 2)) == ()
+
+    def test_singular_operator_has_no_blocks(self, monkeypatch):
         """Three channels with D = L = 64 give S rank at most 4: one
-        component of 64 bins, within the budget, with zero eigenvalues."""
+        component of 64 bins, within both budgets, with zero eigenvalues."""
         fb = random_full_bank(64, [64, 64, 32], seed=5)
         assert frame_diagnostics._COMPONENT_BUDGET >= 64
+        monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 64)
         assert frame_diagnostics._component_inverse(fb) == ()
 
     def test_replaced_bank_gets_its_own_factorization(self, rng):

@@ -262,13 +262,20 @@ class TestComponentPreconditioner:
         fb = scaled_decimations(audlet(1024, prototype="rect"), 4)
         self.assert_replays_response_oracle(fb, rng)
 
-    def test_singular_within_budget_falls_back(self, rng):
-        """D = L = 64 with three channels: S has rank at most 4."""
+    def test_singular_within_budget_falls_back(self, rng, monkeypatch):
+        """D = L = 64 with three channels: S has rank at most 4, and its one
+        block of 64 x 64 entries is let through both budgets."""
+        monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 64)
         self.assert_replays_response_oracle(random_full_bank(64, [64, 64, 32], seed=5), rng)
 
     def test_frame_over_budget_falls_back(self, rng, monkeypatch):
         """The doubled L=4096 ERB bank is a frame with 13-bin components."""
         monkeypatch.setattr(frame_diagnostics, "_COMPONENT_BUDGET", 12)
+        self.assert_replays_response_oracle(scaled_decimations(audlet(4096), 2), rng)
+
+    def test_frame_over_entry_budget_falls_back(self, rng, monkeypatch):
+        """Its blocks hold 7.74 L entries together."""
+        monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 7)
         self.assert_replays_response_oracle(scaled_decimations(audlet(4096), 2), rng)
 
 
