@@ -328,8 +328,10 @@ def _audlet_channels(f_min, f_max, channels_per_unit, scale, *, sample_rate, sig
     and dilations (Hz) of all its channels, DC and Nyquist included."""
     n_regular, dc = _channel_count(f_min, f_max, channels_per_unit, scale, sample_rate=sample_rate,
                                    signal_length=signal_length, dc_filter=dc_filter)
-    if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d)):
-        raise DomainError("r_bw and r_d must be positive and finite")
+    r_bw, r_d, fs = float(r_bw), float(r_d), float(sample_rate)
+    scaled = (fs + r_bw * scales.bandwidth(scale, fs / 2.0), r_d * fs * r_bw)  # widest, rate cap
+    if not all(math.isfinite(r) and r > 0 for r in (r_bw, r_d, *scaled)):
+        raise DomainError("r_bw and r_d must be positive and finite, and so must what they scale")
     if prototype not in PROTOTYPES:
         raise DomainError(f"unknown prototype {prototype!r}")
     centers = scales.inverse_scale(
@@ -566,10 +568,18 @@ def parseval_normalize(fb: FilterBank) -> FilterBank:
     """Divide all filters by sqrt of the bank's frequency response.
 
     For painless banks the result is an exact Parseval system (frame bounds
-    (1, 1)); for non-painless banks it only flattens the diagonal term.
+    (1, 1)); for non-painless banks it only flattens the diagonal term. H0
+    is summed per bin as in :func:`frequency_response`, in O(total support).
     """
-    response = frequency_response(fb)
+    covers, L = _expanded_covers(fb), fb.signal_length
+    bins = np.concatenate([np.arange(start, start + v.size) for start, v, _ in covers]) % L
+    # each value's index among the covered bins, or among all L when they are as many
+    where = bins if bins.size >= L else np.unique(bins, return_inverse=True)[1]
+    energy = np.concatenate([(values.real**2 + values.imag**2) / d for _, values, d in covers])
+    response = np.bincount(where, weights=energy)
     scale = np.where(response > 0.0, 1.0 / np.sqrt(np.where(response > 0.0, response, 1.0)), 0.0)
     config = replace(fb.config, parseval=True) if fb.config is not None else None
-    covers = [(start, values * _take(scale, start, values.size)) for start, values in fb._covers]
+    ends = np.cumsum([values.size for _, values in fb._covers]).tolist()
+    covers = [(start, values * scale[where[end - values.size : end]])
+              for (start, values), end in zip(fb._covers, ends)]
     return replace(fb, config=config, _covers=covers)

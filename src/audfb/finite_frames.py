@@ -90,11 +90,10 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _operator_bounds(S: np.ndarray) -> Bounds:
-    """Extreme eigenvalues of the Hermitian matrix S, or over a stack of
-    them, clamped at 0."""
-    w = np.linalg.eigvalsh(S)
-    return Bounds(max(float(w[..., 0].min()), 0.0), max(float(w[..., -1].max()), 0.0))
+def _operator_bounds(*stacks: np.ndarray) -> Bounds:
+    """Extreme eigenvalues over Hermitian matrices or stacks of them, clamped at 0."""
+    w = np.concatenate([np.linalg.eigvalsh(S)[..., [0, -1]].reshape(-1, 2) for S in stacks])
+    return Bounds(max(float(w[:, 0].min()), 0.0), max(float(w[:, 1].max()), 0.0))
 
 
 def frame_bounds(frame: FiniteFrame) -> Bounds:

@@ -9,11 +9,11 @@ where H0 (the frequency response) collects the diagonal and the Hr for r >= 1
 (the alias components) collect everything off it. This module computes those
 terms once per bank, over the r that occur, and keeps them on the bank (H0
 comes from :mod:`audfb.filterbank` and is re-exported here). The bounds,
-:func:`walnut_apply` and :func:`alias_components` all read them, and so does
-the inverse of S that preconditions CG: the connected components of the
-links j ~ j - r*L/D (polyphase blocks of the equivalent uniform bank, split
-further) are small Hermitian blocks of S, inverted once per bank unless
-they are too large or one is not clearly positive definite. It also
+:func:`walnut_apply` and :func:`alias_components` all read them. The
+connected components of the links j ~ j - r*L/D (polyphase blocks of the
+equivalent uniform bank, split further) are small Hermitian blocks of S,
+written by one function: the exact bounds are their extreme eigenvalues,
+and their inverses, kept on the bank, precondition CG. It also
 classifies banks (painless, diagonally dominant), measures the
 perfect-reconstruction residual of an analysis/synthesis pair from the same
 kind of terms, and rewrites a non-uniform bank as an equivalent uniform one.
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import finite_frames
 from .dsp_core import _as_signal
-from .errors import DomainError, ShapeError, UnsupportedConfigError
+from .errors import DomainError, NotAFrameError, ShapeError, UnsupportedConfigError
 from .filterbank import FilterBank, _add_at, _expanded_covers, frequency_response
 
 __all__ = [
@@ -48,13 +48,13 @@ __all__ = [
     "equivalent_uniform",
 ]
 
-# Largest block of S, in bins, that _component_inverse factors, and the
-# most entries of all its blocks together, per bin.
+# Largest block of S, in bins, and the most entries of all its blocks
+# together, per bin, that _component_blocks writes under its budget.
 _COMPONENT_BUDGET = 128
 _ENTRY_BUDGET = 32
 
-# Dense bound estimation writes the Walnut terms into L/D Hermitian D x D
-# blocks and solves them in O(L * D^2); refuse above this signal length.
+# dense-eigen lifts that budget up to this signal length (the blocks hold at
+# most L*D <= L^2 entries) and refuses over-budget banks above it.
 DENSE_EIGEN_MAX_LENGTH = 1024
 
 _METHODS = ("painless-exact", "diag-dominance", "dense-eigen")
@@ -171,21 +171,18 @@ def _frame_terms(fb: FilterBank) -> dict[int, np.ndarray]:
     return fb._walnut
 
 
-def _component_inverse(fb: FilterBank) -> tuple:
-    """S^-1 in the DFT domain as read-only (bins, inverse) pairs, one per
-    block size: the terms link bin j with bin j - r*L/D where H_r[j] != 0,
-    and each connected component is a block of S, inverted by one batched
-    ``inv`` per size. Kept on the bank, so it pays off over repeated solves;
-    empty when the bank is painless, when the largest component exceeds
-    ``_COMPONENT_BUDGET`` bins or all blocks together exceed
-    ``_ENTRY_BUDGET * L`` entries (both checked before any block is made),
-    or when a block is not clearly positive definite."""
-    if fb._inverse is not None:
-        return fb._inverse
-    fb._inverse = ()
+def _component_blocks(fb: FilterBank, budget: bool):
+    """Blocks of S in the DFT domain: the terms link bin j with bin j - r*L/D
+    where H_r[j] != 0, and each connected component is a Hermitian block of
+    S. Returns one (bins, S) pair per block size, ascending, with S a view
+    of one flat array, and the largest row sum of |S| (a bound on its
+    spectrum). With ``budget`` it returns None when the largest component
+    exceeds ``_COMPONENT_BUDGET`` bins or all blocks together exceed
+    ``_ENTRY_BUDGET * L`` entries, which the nonzero terms alone may show
+    before any link is listed."""
     terms, L = _frame_terms(fb), fb.signal_length
-    if len(terms) == 1:
-        return ()
+    if budget and L + sum(np.count_nonzero(H) for r, H in terms.items() if r) > _ENTRY_BUDGET * L:
+        return None
     hop = L // _lcm_decimation(fb.decimations)
     rows = [np.flatnonzero(H) if r else np.arange(L) for r, H in terms.items()]
     cols = np.concatenate([(j - r * hop) % L for r, j in zip(terms, rows)])
@@ -201,8 +198,8 @@ def _component_inverse(fb: FilterBank) -> tuple:
         labels = labels[labels]
     size = np.bincount(labels, minlength=L)[labels]
     # size.sum() is the number of entries of all blocks together
-    if size.max() > _COMPONENT_BUDGET or size.sum() > _ENTRY_BUDGET * L:
-        return ()
+    if budget and (size.max() > _COMPONENT_BUDGET or size.sum() > _ENTRY_BUDGET * L):
+        return None
     # Bins in order of block size, then block. The blocks lie row-major in
     # one flat array in that order, so a block starts after as many entries
     # as the sizes of the bins before it add up to.
@@ -215,23 +212,32 @@ def _component_inverse(fb: FilterBank) -> tuple:
     place[order], base[order] = np.arange(L) - start, before[start]
     flat = np.zeros(int(size.sum()), dtype=np.complex128)
     flat[base[rows] + place[rows] * size[rows] + place[cols]] = values
-    # Clearly positive definite: S - floor*I has a Cholesky factor, floor
-    # being n*eps times the largest row sum of |S| (a bound on its spectrum).
-    floor = size.max() * np.finfo(float).eps * np.bincount(rows, np.abs(values)).max()
-    groups = np.flatnonzero(np.diff(n, prepend=0)).tolist()
-    blocks = []
-    for p, q in zip(groups, groups[1:] + [L]):
-        k = int(n[p])
-        S = flat[before[p] : before[p] + (q - p) * k].reshape(-1, k, k)
-        try:
-            np.linalg.cholesky(S - floor * np.eye(k))
-        except np.linalg.LinAlgError:
-            return ()
-        S[...] = np.linalg.inv(S)  # in place: the blocks share one array
-        bins = order[p:q].reshape(-1, k)
-        bins.flags.writeable = S.flags.writeable = False
-        blocks.append((bins, S))
-    fb._inverse = tuple(blocks)
+    cuts = np.flatnonzero(np.diff(n)) + 1  # where the block size changes
+    groups = zip(np.split(order, cuts), np.split(flat, before[cuts]), n[np.r_[0, cuts]].tolist())
+    blocks = [(bins.reshape(-1, k), S.reshape(-1, k, k)) for bins, S, k in groups]
+    return blocks, np.bincount(rows, np.abs(values)).max()
+
+
+def _component_inverse(fb: FilterBank) -> tuple:
+    """S^-1 in the DFT domain as read-only (bins, inverse) pairs: the blocks
+    of :func:`_component_blocks`, inverted in place by one batched ``inv``
+    per size and kept on the bank, so it pays off over repeated solves.
+    Empty when the bank is painless or its blocks are over the budgets.
+    Raises NotAFrameError when a block is not clearly positive definite:
+    S - floor*I has no Cholesky factor, floor being n*eps times the bound
+    on the spectrum, so S has an eigenvalue within rounding of 0."""
+    if fb._inverse is None:
+        found = _component_blocks(fb, budget=True) if len(_frame_terms(fb)) > 1 else None
+        blocks, bound = found or ((), 0.0)
+        floor = (blocks[-1][0].shape[1] if blocks else 0) * np.finfo(float).eps * bound
+        for bins, S in blocks:
+            try:
+                np.linalg.cholesky(S - floor * np.eye(bins.shape[1]))
+            except np.linalg.LinAlgError:
+                raise NotAFrameError("frame operator singular to rounding: not a frame") from None
+            S[...] = np.linalg.inv(S)  # in place: the blocks share one array
+            bins.flags.writeable = S.flags.writeable = False
+        fb._inverse = tuple(blocks)
     return fb._inverse
 
 
@@ -268,11 +274,10 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
         ``painless-exact`` (optimal bounds min/max H0, requires a painless
         bank), ``diag-dominance`` (Gershgorin-style bracket from H0 and the
         alias norms sum_{r>=1} |Hr|, lower bound clamped at zero),
-        ``dense-eigen`` (exact extreme eigenvalues of the frame operator;
-        its Walnut terms couple bin j only with the bins j + m*L/D, so they
-        are written into L/D blocks of D x D, the polyphase matrices of the
-        equivalent uniform bank, and all blocks are solved at once; refused
-        for L > DENSE_EIGEN_MAX_LENGTH), or ``auto`` to pick
+        ``dense-eigen`` (exact extreme eigenvalues of the frame operator,
+        taken over the Hermitian blocks of its connected components with
+        one ``eigvalsh`` per block size; refused when the blocks are over
+        budget and L > DENSE_EIGEN_MAX_LENGTH), or ``auto`` to pick
         painless-exact when the bank is painless and diag-dominance
         otherwise. Every method reads the Walnut terms cached on the bank.
 
@@ -281,8 +286,8 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
     DomainError
         Unknown method name.
     UnsupportedConfigError
-        painless-exact on a non-painless bank, or dense-eigen beyond the
-        length ceiling.
+        painless-exact on a non-painless bank, or dense-eigen on blocks
+        over budget beyond the length ceiling.
     """
     painless = painless_check(fb)
     if method == "auto":
@@ -293,10 +298,6 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
     L = fb.signal_length
     if method == "painless-exact" and not painless:
         raise UnsupportedConfigError("painless-exact bounds need a painless bank")
-    if method == "dense-eigen" and L > DENSE_EIGEN_MAX_LENGTH:
-        raise UnsupportedConfigError(
-            f"dense-eigen bounds are limited to L <= {DENSE_EIGEN_MAX_LENGTH}, got {L}"
-        )
     terms = _frame_terms(fb)
     response = terms[0]
     # summed in ascending r; a painless bank has no r >= 1 and gets zeros
@@ -308,13 +309,12 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
         upper = float((response + alias_norms).max())
         bounds = finite_frames.Bounds(lower, upper)
     else:
-        D = _lcm_decimation(fb.decimations)
-        m = np.arange(D)
-        # block c holds the fibre of bins c + m*L/D; H_r[j] sits at (j, j - r*L/D)
-        blocks = np.zeros((L // D, D, D), dtype=np.complex128)
-        for r, H in terms.items():
-            blocks[:, m, (m - r) % D] = H.reshape(D, L // D).T
-        bounds = finite_frames._operator_bounds(blocks)
+        found = _component_blocks(fb, budget=L > DENSE_EIGEN_MAX_LENGTH)
+        if found is None:
+            raise UnsupportedConfigError(
+                f"dense-eigen over the block budget needs L <= {DENSE_EIGEN_MAX_LENGTH}, got {L}"
+            )
+        bounds = finite_frames._operator_bounds(*(S for _, S in found[0]))
     return FrameReport(
         frequency_response=response,
         alias_norms=alias_norms,

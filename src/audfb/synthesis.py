@@ -54,7 +54,7 @@ class CGConfig:
     preconditioned : bool
         Precondition with the exact inverse of S, so CG converges at once:
         1/H0 on painless banks, the inverses of the connected blocks of S
-        otherwise, and 1/H0 where those are not used (see
+        otherwise, and 1/H0 where those are over budget (see
         :func:`cg_synthesize`).
     """
 
@@ -131,8 +131,8 @@ def cg_synthesize(
     in the DFT domain, factored once per bank (see
     :mod:`audfb.frame_diagnostics`). That factorization is kept on the
     bank and pays off when one bank is solved repeatedly. A bank whose
-    blocks are over the size budgets, or not clearly positive definite,
-    gets 1/H0 alone.
+    blocks are over the size budgets gets 1/H0 alone and is not checked
+    for being a frame: CG may then return without error on a non-frame.
 
     Parameters
     ----------
@@ -149,7 +149,8 @@ def cg_synthesize(
     Raises
     ------
     NotAFrameError
-        Preconditioning requested but the frequency response vanishes.
+        Preconditioning requested but the frequency response vanishes, or a
+        block of S within the budgets is not clearly positive definite.
     ConvergenceError
         Tolerance not reached within the iteration budget, or the operator
         is found to be numerically indefinite. Carries the residual history.

@@ -235,6 +235,12 @@ class TestExitCodes:
         assert code == 64
         assert "bank configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rbw", "--rd"])
+    def test_overflowing_bank_flag_is_usage_error(self, capsys, flag):
+        code = cli.main(["diagnose", "--sample-rate", "8000", "--length", "4096", flag, "1e308"])
+        assert code == 64
+        assert "bank configuration" in capsys.readouterr().err
+
     @pytest.mark.parametrize("density", ["1e300", "1.7e308"])
     def test_unbounded_channel_count_is_usage_error(self, capsys, density):
         flags = ["--sample-rate", "8000", "--length", "4096", "--channels-per-unit", density]

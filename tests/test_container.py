@@ -1,6 +1,7 @@
 """Coefficient and mask container files: roundtrips and corruption handling."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,74 @@ def test_forged_channel_density_refused_before_layout(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(blob) + 2**20
+
+
+def test_parseval_container_memory_is_bounded_by_support(tmp_path):
+    """A genuine 429-byte parseval container at L = 2^20 whose two channels
+    cover 1 and 3 bins. Reading it makes no array over all L bins (8 MiB of
+    float64): the parseval scale is computed on the covers."""
+    L = 2**20
+    fb = build_bank(
+        True, f_min=4000.0 - 8000.0 / L, channels_per_unit=1e-4, signal_length=L,
+        r_bw=1e-6, r_d=1e30, dc_filter=False,
+    )
+    assert [values.size for _, values in fb._covers] == [1, 3]
+    path = tmp_path / "parseval.afc"
+    coeffs = [np.ones(L // int(d), dtype=np.complex128) for d in fb.decimations]
+    container.write_coefficients(path, fb, coeffs, trim_length=L)
+    assert path.stat().st_size == 429
+    tracemalloc.start()
+    try:
+        fb2, coeffs2, _ = container.read_coefficients(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert all(np.array_equal(a[1], b[1]) for a, b in zip(fb2._covers, fb._covers))
+    assert all(np.array_equal(a, b) for a, b in zip(coeffs2, coeffs))
+
+
+_HOSTILE = [
+    b"0", b"-1", b"1", b"2", b"3", b"0.5", b"1.5", b"511", b"513", b"4096", b"1048576",
+    b"9" * 40, b"1e308", b"-1e308", b"1e-300", b"5e-324", b"nan", b"inf", b"-inf",
+    b"", b"x", b"erb", b"bark", b"rect", b"coefficients", b"mask",
+]
+
+
+def test_header_mutations_raise_only_container_error(tmp_path, rng):
+    """Fuzz of the reader on an L=512 container: every header field set to
+    every hostile value, then 100 seeded mutations of channel-line fields.
+    Each read succeeds or raises ContainerError, with no warning behind it,
+    and peaks at 1 MiB under tracemalloc."""
+    fb = build_bank(channels_per_unit=1.0, signal_length=512)
+    path = tmp_path / "valid.afc"
+    container.write_coefficients(path, fb, audfb.analyze(fb, rng.standard_normal(512)), 512)
+    head, _, payload = path.read_bytes().partition(b"\npayload\n")
+    lines = head.split(b"\n")
+    channel_rows = [i for i, line in enumerate(lines) if line.startswith(b"channel ")]
+    gen = np.random.default_rng(2024)
+    mutations = [(row, 1, value) for row in range(1, channel_rows[0]) for value in _HOSTILE]
+    mutations += [
+        (int(gen.choice(channel_rows)), int(gen.integers(1, 4)), _HOSTILE[int(gen.integers(len(_HOSTILE)))])
+        for _ in range(100)
+    ]
+    bad = tmp_path / "bad.afc"
+    for row, field, value in mutations:
+        fields = lines[row].split(b" ")
+        fields[field] = value
+        bad.write_bytes(b"\n".join(lines[:row] + [b" ".join(fields)] + lines[row + 1:])
+                        + b"\npayload\n" + payload)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                container.read_coefficients(bad)
+        except ContainerError as exc:
+            assert not isinstance(exc.__cause__, Warning), (fields, exc)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 2**20, fields
 
 
 @given(

@@ -317,6 +317,16 @@ def test_build_audlet_rejects_non_finite_parameters(name, value):
         audfb.build_audlet(0.0, 4000.0, v, audfb.ERB, sample_rate=8000.0, signal_length=512, **full)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides", [dict(r_bw=1e308), dict(r_d=1e308), dict(r_bw=1e10, r_d=1e300)])
+def test_build_audlet_rejects_overflowing_factors(overrides):
+    """Finite factors whose widest dilation or rate cap r_d * fs * r_bw
+    overflows are refused before any multiply can warn."""
+    full = {"r_bw": 1.0, "r_d": 1.0, **overrides}
+    with pytest.raises(DomainError, match="what they scale"):
+        audfb.build_audlet(0.0, 4000.0, 2.0, audfb.ERB, sample_rate=8000.0, signal_length=512, **full)
+
+
 def test_build_audlet_bounds_channel_count():
     """More than 4 L regular channels is rejected before any allocation.
 

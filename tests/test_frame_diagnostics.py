@@ -259,7 +259,7 @@ class TestEstimateBounds:
     def test_dense_eigen_matches_walnut_matrix_oracle(
         self, scale, channels_per_unit, f_min, prototype, r_bw, signal_length, factor
     ):
-        """The D x D fibre blocks give the eigenvalue extremes of the whole
+        """The connected blocks give the eigenvalue extremes of the whole
         L x L DFT-domain matrix, and diag-dominance brackets them."""
         try:
             fb = audfb.build_audlet(
@@ -279,12 +279,55 @@ class TestEstimateBounds:
         assert loose.lower <= tight.lower + 1e-12 * B
         assert tight.upper <= loose.upper + 1e-12 * B
 
+    @pytest.mark.parametrize("prototype", ["rect", "hann"])
+    def test_dense_eigen_matches_walnut_matrix_oracle_at_4096(self, prototype):
+        """Doubled ERB banks at L=4096, beyond the fibre writer's old length
+        ceiling. One eigvalsh of the 4096 x 4096 oracle matrix takes about
+        40 s on one thread, so its spectrum is taken over the connected components that
+        scipy finds in its nonzero pattern: the matrix is block diagonal in
+        them, which makes that the same spectrum."""
+        from scipy.sparse.csgraph import connected_components
+
+        fb = audlet_rect(4096, 2) if prototype == "rect" else doubled(audfb.build_audlet(
+            0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=4096
+        ))
+        tight = audfb.estimate_bounds(fb, method="dense-eigen").bounds
+        S = oracle.walnut_matrix(fb)
+        _, labels = connected_components(S != 0.0, directed=False)
+        w = np.concatenate([
+            np.linalg.eigvalsh(S[np.ix_(part, part)])
+            for part in (np.flatnonzero(labels == c) for c in range(labels.max() + 1))
+        ])
+        B = w.max()
+        assert tight.lower > 0.0
+        assert abs(tight.lower - w.min()) <= 1e-12 * B
+        assert abs(tight.upper - B) <= 1e-12 * B
+
+    def test_dense_eigen_of_non_frame_over_budget(self):
+        """Quadrupled ERB/rect at L=1024 joins all bins in one block, over
+        both budgets, and is not a frame: the budget is lifted at this
+        length and A is the clamped smallest eigenvalue of the oracle."""
+        fb = audlet_rect(1024, 4)
+        tight = audfb.estimate_bounds(fb, method="dense-eigen").bounds
+        w = np.linalg.eigvalsh(oracle.walnut_matrix(fb))
+        assert w[0] <= 1e-12 * w[-1]
+        assert abs(tight.lower - max(w[0], 0.0)) <= 1e-12 * w[-1]
+        assert abs(tight.upper - w[-1]) <= 1e-12 * w[-1]
+
     def test_dense_eigen_size_ceiling(self):
-        fb = audfb.build_audlet(
-            0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=2048
-        )
-        with pytest.raises(UnsupportedConfigError):
-            audfb.estimate_bounds(fb, method="dense-eigen")
+        """A random full bank with D = L = 2048 forms one block of all bins,
+        over both budgets and beyond the length ceiling. Once its terms are
+        cached it is refused before the links or the 64 MiB block are made."""
+        fb = random_full_bank(2048, [2048, 2048, 1024], seed=222)
+        frame_diagnostics._frame_terms(fb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedConfigError):
+                audfb.estimate_bounds(fb, method="dense-eigen")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
@@ -492,13 +535,31 @@ class TestComponentInverse:
         monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 7)
         assert frame_diagnostics._component_inverse(audlet_rect(1024, 2)) == ()
 
-    def test_singular_operator_has_no_blocks(self, monkeypatch):
+    def test_singular_operator_is_not_a_frame(self, monkeypatch):
         """Three channels with D = L = 64 give S rank at most 4: one
-        component of 64 bins, within both budgets, with zero eigenvalues."""
+        component of 64 bins, within both budgets, with zero eigenvalues.
+        Nothing is kept on the bank, so a second call raises too."""
         fb = random_full_bank(64, [64, 64, 32], seed=5)
         assert frame_diagnostics._COMPONENT_BUDGET >= 64
         monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 64)
-        assert frame_diagnostics._component_inverse(fb) == ()
+        for _ in range(2):
+            with pytest.raises(NotAFrameError):
+                frame_diagnostics._component_inverse(fb)
+
+    @pytest.mark.parametrize(
+        "make_bank",
+        [lambda: audlet_rect(1024, 2), lambda: random_full_bank(256, [2, 4, 8, 4, 2, 8], seed=213)],
+        ids=["audlet-rect", "random-full"],
+    )
+    def test_kept_inverse_times_block_is_identity(self, make_bank):
+        fb = make_bank()
+        blocks, _ = frame_diagnostics._component_blocks(fb, budget=True)
+        inverses = frame_diagnostics._component_inverse(fb)
+        assert len(blocks) == len(inverses)
+        for (bins, S), (kept_bins, inverse) in zip(blocks, inverses):
+            assert np.array_equal(bins, kept_bins)
+            eye = np.broadcast_to(np.eye(bins.shape[1]), S.shape)
+            assert np.abs(S @ inverse - eye).max() <= 1e-12
 
     def test_replaced_bank_gets_its_own_factorization(self, rng):
         """Quadrupled decimations make no frame and no blocks; halving them

@@ -262,11 +262,16 @@ class TestComponentPreconditioner:
         fb = scaled_decimations(audlet(1024, prototype="rect"), 4)
         self.assert_replays_response_oracle(fb, rng)
 
-    def test_singular_within_budget_falls_back(self, rng, monkeypatch):
+    def test_singular_within_budget_is_not_a_frame(self, rng, monkeypatch):
         """D = L = 64 with three channels: S has rank at most 4, and its one
-        block of 64 x 64 entries is let through both budgets."""
+        block of 64 x 64 entries is let through both budgets. Its Cholesky
+        test fails, on every call with the same bank."""
         monkeypatch.setattr(frame_diagnostics, "_ENTRY_BUDGET", 64)
-        self.assert_replays_response_oracle(random_full_bank(64, [64, 64, 32], seed=5), rng)
+        fb = random_full_bank(64, [64, 64, 32], seed=5)
+        c = audfb.analyze(fb, rng.standard_normal(64))
+        for _ in range(2):
+            with pytest.raises(NotAFrameError):
+                synthesis.cg_synthesize(fb, c)
 
     def test_frame_over_budget_falls_back(self, rng, monkeypatch):
         """The doubled L=4096 ERB bank is a frame with 13-bin components."""
