@@ -249,8 +249,19 @@ def alias_components(fb: FilterBank) -> np.ndarray:
     at the r that are multiples of q_k = D/d_k. The values are complex; for
     painless banks every entry is exactly zero (supports of the shifted
     copies are disjoint).
+
+    Raises
+    ------
+    UnsupportedConfigError
+        (D-1)*L exceeds DENSE_EIGEN_MAX_LENGTH**2 entries, checked before
+        anything is allocated.
     """
-    out = np.zeros((_lcm_decimation(fb.decimations) - 1, fb.signal_length), dtype=np.complex128)
+    D, L = _lcm_decimation(fb.decimations), fb.signal_length
+    if (D - 1) * L > DENSE_EIGEN_MAX_LENGTH**2:
+        raise UnsupportedConfigError(
+            f"alias components need (D-1)*L <= {DENSE_EIGEN_MAX_LENGTH**2}, got {(D - 1) * L}"
+        )
+    out = np.zeros((D - 1, L), dtype=np.complex128)
     for r, H in _frame_terms(fb).items():
         if r:
             out[r - 1] = H

@@ -106,12 +106,19 @@ def apply_multiplier(m: MaskSymbol, fb_syn: FilterBank, fb_ana: FilterBank, x) -
 
 
 def _levels_db(coefficients) -> list[np.ndarray]:
-    """20*log10(|c| / peak) per channel; -inf where c = 0 or on silence."""
-    peak = max(float(np.abs(ck).max()) for ck in coefficients)
+    """20*log10(|c| / peak) per channel; -inf where c = 0 or on silence.
+
+    Raises ``DomainError`` when a coefficient is not finite."""
+    magnitudes = [np.abs(ck) for ck in coefficients]
+    peak = float(np.max([m.max() for m in magnitudes]))  # NaN propagates
+    if not math.isfinite(peak):
+        raise DomainError("coefficients must be finite")
     if peak == 0.0:
-        return [np.full(ck.shape[0], -np.inf) for ck in coefficients]
+        return [np.full(m.shape[0], -np.inf) for m in magnitudes]
     with np.errstate(divide="ignore"):
-        return [20.0 * np.log10(np.abs(ck) / peak) for ck in coefficients]
+        for m in magnitudes:  # in place: the same operations as 20*log10(|c| / peak)
+            np.multiply(np.log10(np.divide(m, peak, out=m), out=m), 20.0, out=m)
+    return magnitudes
 
 
 def irrelevance_threshold(coefficients, fb: FilterBank, model: IrrelevanceModel) -> list[np.ndarray]:
@@ -122,15 +129,28 @@ def irrelevance_threshold(coefficients, fb: FilterBank, model: IrrelevanceModel)
     masker's time index nearest to n (subband rates differ), u are channel
     centers in scale units, and the slope is the upper spread when the
     target lies above the masker, the lower spread otherwise. The threshold
-    is the maximum contribution plus the model offset. It is evaluated once
-    per subband rate (n' depends on k only via d_k), with the same result.
+    is the maximum contribution plus the model offset.
+
+    The maximum is a lower envelope of cones, taken per subband rate in two
+    sweeps over the channels in scale order (as in the L1 distance
+    transform): a running row drops by slope times each gap between
+    neighbouring centers and absorbs each masker, resampled to the target
+    rate. A target reads the forward run (maskers below it, upper slope)
+    and the backward run (maskers above, lower slope) before absorbing its
+    own level, which enters exactly. For K channels that costs K times the
+    sum of L/d over the distinct rates d, in place of K per coefficient.
+    Summing gaps rounds differently from one difference per pair:
+    thresholds lie within 4*K*eps*(max |level| + max slope * (u_max -
+    u_min)) dB of the per-pair maximum.
 
     Raises
     ------
     DomainError
-        The bank carries no center frequencies.
+        The bank carries no center frequencies, or coefficients or centers
+        are not finite.
     ShapeError
-        Coefficients do not match the bank.
+        Coefficients do not match the bank, or the bank does not carry one
+        center frequency per channel.
     """
     return _threshold_and_levels(coefficients, fb, model)[0]
 
@@ -140,23 +160,36 @@ def _threshold_and_levels(coefficients, fb: FilterBank, model: IrrelevanceModel)
     c = _check_coefficients(fb, coefficients)
     if fb.center_frequencies is None:
         raise DomainError("bank carries no center frequencies")
-    units = scales.scale_value(model.scale, np.asarray(fb.center_frequencies, dtype=np.float64))
+    centers = np.asarray(fb.center_frequencies, dtype=np.float64)
+    if centers.shape != (fb.n_channels,):
+        raise ShapeError("need one center frequency per channel")
+    if not np.all(np.isfinite(centers)):
+        raise DomainError("center frequencies must be finite")
+    units = scales.scale_value(model.scale, centers)
     levels = _levels_db(c)
     upper, lower = model.spread_upper_db_per_unit, model.spread_lower_db_per_unit
-    thresholds = {}
-    for d_k in np.unique(fb.decimations):
-        targets = np.flatnonzero(fb.decimations == d_k)
-        distance = units[targets, None] - units  # (targets, maskers)
-        shadows = np.where(distance > 0.0, upper, lower) * np.abs(distance)
-        n = np.arange(fb.signal_length // d_k)
-        best = np.full((targets.size, n.size), -np.inf)
-        for kappa, (level, d_kap) in enumerate(zip(levels, fb.decimations)):
-            # nearest masker time index: round(n * d_k / d_kap), exactly in
-            # integer arithmetic, wrapped into the masker's subband
-            idx = ((2 * n * d_k + d_kap) // (2 * d_kap)) % level.size
-            np.maximum(best, level[idx] - shadows[:, kappa, None], out=best)
-        thresholds.update(zip(targets, best + model.offset_db))
-    return [thresholds[k] for k in range(fb.n_channels)], levels
+    order = np.argsort(units, kind="stable")
+    gaps = np.diff(units[order], prepend=units[order[0]], append=units[order[-1]]).tolist()
+    # up the scale from the maskers below each target, then down from those above
+    sweeps = ((order.tolist(), gaps[:-1], upper), (order[::-1].tolist(), gaps[:0:-1], lower))
+    L, decimations = fb.signal_length, fb.decimations.tolist()
+    thresholds = [level.copy() for level in levels]  # each target's own level, exactly
+    for d_k in set(decimations):
+        n = np.arange(L // d_k)
+        # nearest masker time index: round(n * d_k / d_kap), exactly in
+        # integer arithmetic, wrapped into the masker's subband
+        nearest = {d: ((2 * n * d_k + d) // (2 * d)) % (L // d) for d in set(decimations)}
+        for channels, steps, slope in sweeps:
+            run = np.full(n.size, -np.inf)
+            for kappa, step in zip(channels, steps):
+                run -= slope * step  # gaps, not R + s*u offsets: huge slopes give -inf
+                d_kap = decimations[kappa]
+                if d_kap == d_k:  # read the run before it absorbs the target
+                    np.maximum(thresholds[kappa], run, out=thresholds[kappa])
+                np.maximum(run, levels[kappa][nearest[d_kap]], out=run)
+    for thr in thresholds:
+        thr += model.offset_db
+    return thresholds, levels
 
 
 def irrelevance_filter(

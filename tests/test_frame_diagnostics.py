@@ -133,6 +133,25 @@ class TestAliasComponents:
         assert alias.shape == (1, L)
         assert np.any(alias != 0.0)
 
+    def test_size_ceiling_is_checked_before_allocation(self):
+        """D = L = 2^16 would ask for (D-1)*L*16 bytes, 64 GiB; it is refused
+        with a small tracemalloc peak."""
+        L = 2**16
+        fb = audfb.FilterBank(
+            filters=np.ones((1, L), dtype=complex),
+            decimations=np.array([L]),
+            sample_rate=1.0,
+            one_sided=False,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedConfigError):
+                audfb.alias_components(fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestPainlessCheck:
     def test_audlet_is_painless(self, default_erb_bank):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 import audfb
-from audfb import masking
+from audfb import cli, container, masking
 from audfb.errors import DomainError, ShapeError, UnsupportedConfigError
 from conftest import tone_plus_noise
 
@@ -42,6 +43,49 @@ def pair_loop_threshold(coefficients, fb, model):
             np.maximum(best, levels[kappa][idx] - slope * abs(distance), out=best)
         thresholds.append(best + model.offset_db)
     return thresholds
+
+
+def sweep_tolerance(levels, fb, model):
+    """Stated bound on |irrelevance_threshold - pair_loop_threshold| in dB:
+    4*K*eps*(max finite |level| + max slope * (u_max - u_min))."""
+    units = audfb.scale_value(model.scale, np.asarray(fb.center_frequencies, dtype=np.float64))
+    finite = np.abs(np.concatenate(levels))
+    finite = finite[np.isfinite(finite)]
+    slope = max(model.spread_lower_db_per_unit, model.spread_upper_db_per_unit)
+    return (
+        4.0 * fb.n_channels * np.finfo(float).eps
+        * (finite.max(initial=0.0) + slope * float(np.ptp(units)))
+    )
+
+
+def assert_matches_oracle(c, fb, model):
+    """Thresholds within ``sweep_tolerance`` of the oracle with identical
+    -inf positions and no NaN; the mask equals the oracle's wherever the
+    level is farther than the tolerance from the oracle's threshold."""
+    with np.errstate(over="ignore"):  # the oracle's slope * distance with huge slopes
+        expected = pair_loop_threshold(c, fb, model)
+    actual = masking.irrelevance_threshold(c, fb, model)
+    levels = masking._levels_db(c)
+    tol = sweep_tolerance(levels, fb, model)
+    assert len(actual) == len(expected)
+    for a, e, level in zip(actual, expected, levels):
+        assert not np.any(np.isnan(a))
+        assert np.array_equal(a == -np.inf, e == -np.inf)
+        finite = np.isfinite(e)
+        assert np.all(np.abs(a[finite] - e[finite]) <= tol)
+        with np.errstate(invalid="ignore"):  # -inf - -inf counts as clear
+            clear = ~(np.abs(level - e) <= tol)
+        assert np.array_equal((level >= a)[clear], (level >= e)[clear])
+    return actual
+
+
+def oracle_mask(c, fb, model):
+    with np.errstate(over="ignore"):
+        thresholds = pair_loop_threshold(c, fb, model)
+    return [
+        (level >= thr).astype(np.float64)
+        for level, thr in zip(masking._levels_db(c), thresholds)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -244,17 +288,18 @@ class TestIrrelevanceThreshold:
     random_centers=st.booleans(),
     signal=st.sampled_from(["noise", "silence", "impulse"]),
     model_scale=st.sampled_from([audfb.ERB, audfb.BARK]),
-    offset=st.floats(-30.0, 30.0),
-    lower=st.floats(0.5, 60.0),
-    upper=st.floats(0.5, 60.0),
+    offset=st.one_of(st.just(0.0), st.floats(-30.0, 30.0)),
+    lower=st.one_of(st.just(1e308), st.floats(0.5, 60.0)),
+    upper=st.one_of(st.just(1e308), st.floats(0.5, 60.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_threshold_matches_pair_loop_oracle(
     scale, channels_per_unit, f_min, signal_length, doubled, random_centers,
     signal, model_scale, offset, lower, upper, seed,
 ):
-    """Thresholds, mask and removed fraction equal the pair-loop oracle's."""
+    """Thresholds lie within the stated tolerance of the pair-loop oracle,
+    and the mask, masked coefficients and fraction are consistent."""
     try:
         fb = audfb.build_audlet(
             f_min, 4000.0, channels_per_unit, scale,
@@ -281,20 +326,120 @@ def test_threshold_matches_pair_loop_oracle(
     )
 
     c = audfb.analyze(fb, x)
-    expected = pair_loop_threshold(c, fb, model)
-    actual = masking.irrelevance_threshold(c, fb, model)
-    assert len(actual) == len(expected)
-    assert all(np.array_equal(a, e) for a, e in zip(actual, expected))
-
+    thresholds = assert_matches_oracle(c, fb, model)
     weights = [
         (level >= thr).astype(np.float64)
-        for level, thr in zip(masking._levels_db(c), expected)
+        for level, thr in zip(masking._levels_db(c), thresholds)
     ]
     removed = sum(int(np.count_nonzero(w == 0.0)) for w in weights)
     masked, mask, fraction = masking.irrelevance_filter(fb, x, model)
     assert all(np.array_equal(a, e) for a, e in zip(mask.weights, weights))
     assert all(np.array_equal(a, w * ck) for a, w, ck in zip(masked, weights, c))
     assert fraction == removed / sum(w.size for w in weights)
+
+
+class TestSweepAgainstOracle:
+    """The two-sweep threshold on fixed inputs, against the pair loop."""
+
+    def assert_mask_equals_oracle(self, fb, x, model):
+        c = audfb.analyze(fb, x)
+        expected = oracle_mask(c, fb, model)
+        masked, mask, fraction = masking.irrelevance_filter(fb, x, model)
+        assert all(np.array_equal(a, e) for a, e in zip(mask.weights, expected))
+        assert all(np.array_equal(a, w * ck) for a, w, ck in zip(masked, expected, c))
+        removed = sum(int(np.count_nonzero(w == 0.0)) for w in expected)
+        assert fraction == removed / sum(w.size for w in expected)
+
+    def test_frozen_fixture_mask_is_exact(self, mask_bank):
+        x = tone_plus_noise(8192, 16000.0, seed=23)
+        self.assert_mask_equals_oracle(mask_bank, x, masking.IrrelevanceModel())
+
+    def test_bark_16k_mask_is_exact(self):
+        """4 s of tone plus noise on the Bark, V=6, 16 kHz, L=65536 bank."""
+        fb = audfb.build_audlet(
+            0.0, 8000.0, 6.0, audfb.BARK, sample_rate=16000.0, signal_length=65536
+        )
+        x = np.zeros(65536)
+        x[:64000] = tone_plus_noise(64000, 16000.0, seed=31)
+        self.assert_mask_equals_oracle(fb, x, masking.IrrelevanceModel())
+
+    def test_lone_masker_threshold_equals_its_level(self, mask_bank):
+        """At offset 0 a lone loud masker's own term enters exactly."""
+        fb = mask_bank
+        c = [np.zeros(n, dtype=complex) for n in fb.subband_lengths()]
+        c[40][10] = 0.5 + 0.25j
+        c[41][10] = 1e-3  # a neighbour far below its shadow
+        model = masking.IrrelevanceModel(offset_db=0.0)
+        thr = masking.irrelevance_threshold(c, fb, model)
+        level = masking._levels_db(c)[40][10]
+        assert level == 0.0
+        assert thr[40][10] == level
+
+    @pytest.mark.parametrize("model", [
+        masking.IrrelevanceModel(),
+        masking.IrrelevanceModel(offset_db=0.0, spread_upper_db_per_unit=1e308),
+    ])
+    def test_unsorted_and_duplicate_centers(self, rng, model):
+        """Channel order does not have to follow the scale, and channels may
+        share a center: a shared center casts its shadow at distance 0."""
+        fb = audfb.build_audlet(
+            0.0, 4000.0, 2.0, audfb.ERB, sample_rate=8000.0, signal_length=1024
+        )
+        centers = rng.permutation(fb.center_frequencies)
+        centers[1::3] = centers[0::3][: centers[1::3].size]  # duplicates
+        fb = dataclasses.replace(fb, center_frequencies=centers)
+        x = tone_plus_noise(1024, 8000.0, seed=11)
+        c = audfb.analyze(fb, x)
+        assert_matches_oracle(c, fb, model)
+        self.assert_mask_equals_oracle(fb, x, model)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coefficients_rejected(self, mask_bank, bad):
+        c = [np.ones(n, dtype=complex) for n in mask_bank.subband_lengths()]
+        c[7][3] = bad
+        with pytest.raises(DomainError):
+            masking.irrelevance_threshold(c, mask_bank, masking.IrrelevanceModel())
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_centers_rejected(self, mask_bank, bad):
+        centers = mask_bank.center_frequencies.copy()
+        centers[5] = bad
+        fb = dataclasses.replace(mask_bank, center_frequencies=centers)
+        c = [np.ones(n, dtype=complex) for n in fb.subband_lengths()]
+        with pytest.raises(DomainError):
+            masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
+
+    @pytest.mark.parametrize("count", [-1, 1])
+    def test_center_count_must_match_channels(self, mask_bank, count):
+        """A short list would leave channels out of both sweeps."""
+        centers = np.resize(mask_bank.center_frequencies, mask_bank.n_channels + count)
+        fb = dataclasses.replace(mask_bank, center_frequencies=centers)
+        c = [np.ones(n, dtype=complex) for n in fb.subband_lengths()]
+        with pytest.raises(ShapeError):
+            masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
+
+    def test_cli_huge_lower_spread(self, tmp_path, capsys):
+        """``audfb irrelevance --spread-lower 1e308`` exits 0 and writes the
+        oracle's mask."""
+        rate, n = 8000, 12000
+        samples = tone_plus_noise(n, float(rate), seed=5).astype(np.float32)
+        wav, mask_path = tmp_path / "in.wav", tmp_path / "mask.afm"
+        wavfile.write(wav, rate, 0.5 * samples / np.max(np.abs(samples)))
+        code = cli.main([
+            "irrelevance", str(wav), str(tmp_path / "out.wav"),
+            "--spread-lower", "1e308", "--mask-out", str(mask_path),
+        ])
+        assert code == 0
+        fb, mask, _ = container.read_mask(mask_path)
+        _, data = wavfile.read(wav)
+        x = np.zeros(fb.signal_length)
+        x[:n] = data
+        model = masking.IrrelevanceModel(spread_lower_db_per_unit=1e308)
+        expected = oracle_mask(audfb.analyze(fb, x), fb, model)
+        assert all(np.array_equal(a, e) for a, e in zip(mask.weights, expected))
+        assert float(capsys.readouterr().out) == sum(
+            int(np.count_nonzero(w == 0.0)) for w in expected
+        ) / sum(w.size for w in expected)
 
 
 class TestIrrelevanceFilter:
