@@ -253,8 +253,10 @@ def alias_components(fb: FilterBank) -> np.ndarray:
     Raises
     ------
     UnsupportedConfigError
-        (D-1)*L exceeds DENSE_EIGEN_MAX_LENGTH**2 entries, checked before
-        anything is allocated.
+        (D-1)*L exceeds DENSE_EIGEN_MAX_LENGTH**2 entries (16 MiB),
+        checked before anything is allocated. That refuses auditory banks
+        at audio lengths too, e.g. ERB V=6 at 16 kHz, L=8192 (D=512, 4.2 M
+        entries) and Bark V=6 at 16 kHz, L=65536 (D=128, 8.3 M entries).
     """
     D, L = _lcm_decimation(fb.decimations), fb.signal_length
     if (D - 1) * L > DENSE_EIGEN_MAX_LENGTH**2:

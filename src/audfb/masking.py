@@ -163,8 +163,6 @@ def _threshold_and_levels(coefficients, fb: FilterBank, model: IrrelevanceModel)
     centers = np.asarray(fb.center_frequencies, dtype=np.float64)
     if centers.shape != (fb.n_channels,):
         raise ShapeError("need one center frequency per channel")
-    if not np.all(np.isfinite(centers)):
-        raise DomainError("center frequencies must be finite")
     units = scales.scale_value(model.scale, centers)
     levels = _levels_db(c)
     upper, lower = model.spread_upper_db_per_unit, model.spread_lower_db_per_unit
