@@ -3,7 +3,8 @@
 Subcommands
 -----------
 diagnose
-    Build a bank from flags alone and print its frame statistics.
+    Build a bank from flags alone and print its frame bounds, then its
+    channel count, support, D = lcm(d_k) and painless margin.
 analyze
     WAV in, coefficient container out.
 synthesize
@@ -212,6 +213,13 @@ def _cmd_diagnose(args) -> int:
     report = estimate_bounds(fb, "auto")
     print(report.summary())
     print("redundancy R: %.17g" % fb.redundancy())
+    # per stored channel; each conjugate mirror repeats its channel's support and d_k
+    support = np.array([values.size for _, values in fb._covers])
+    print("channels: %d" % fb.n_channels)
+    print("total support (bins): %d" % support.sum())
+    print("largest support (bins): %d" % support.max())
+    print("D = lcm(d_k): %d" % np.lcm.reduce(fb.decimations))
+    print("painless margin (bins): %d" % np.min(np.array(fb.subband_lengths()) - support))
     return 0 if report.bounds.lower > 0.0 else _EX_NOT_A_FRAME
 
 

@@ -107,7 +107,8 @@ class FilterBank:
     reduced to one circular cover per row and not kept. ``filters`` reads
     back a dense, read-only (channels, L) view of the covers that is built
     on first access and cached. ``dataclasses.replace`` keeps the covers
-    unless it is given new ``filters``.
+    unless it is given new ``filters``. ``center_frequencies`` and
+    ``dilations``, when given, hold one finite value per channel.
     """
 
     decimations: np.ndarray
@@ -157,6 +158,15 @@ class FilterBank:
                 raise ShapeError(f"downsampling factor {int(d)} must divide L={L}")
         if one_sided and len(self._covers) < 2:
             raise ShapeError("a one-sided bank needs at least DC and Nyquist channels")
+        for name, per_channel in (("center_frequencies", center_frequencies),
+                                  ("dilations", dilations)):
+            if per_channel is None:
+                continue
+            per_channel = np.asarray(per_channel, dtype=np.float64)
+            if per_channel.shape != (len(self._covers),):
+                raise ShapeError(f"{name} must hold one value per channel")
+            if not np.all(np.isfinite(per_channel)):
+                raise DomainError(f"{name} must be finite")
         self.sample_rate = sample_rate
         self.one_sided = one_sided
         self.center_frequencies = center_frequencies
@@ -206,6 +216,8 @@ def circular_cover(mask: np.ndarray) -> tuple[int, int]:
         return (0, 0)
     if n == L:
         return (0, L)
+    if idx[-1] - idx[0] + 1 == n:  # one run: what the gap scan below returns
+        return (int(idx[0]), n)
     # zeros strictly between consecutive True bins, wrapping at the end
     gaps = np.empty(n, dtype=np.int64)
     gaps[:-1] = np.diff(idx) - 1
@@ -296,11 +308,17 @@ def _window_cover(window, half_width: float, L: int, sample_rate: float,
     if reach < L / 2.0 - 2.0:
         first = math.floor(c_bins - reach) - 1
         count = math.ceil(c_bins + reach) + 2 - first
-    j = np.arange(first, first + count) % L
-    t = (j - c_bins + L / 2.0) % L - L / 2.0
-    values = window(t * (sample_rate / L) / gamma) / math.sqrt(gamma)
+    # A range inside [0, L) has |j - c_bins| <= reach + 2 < L/2, where both
+    # reductions mod L are exact no-ops; wrapping and full-circle ranges need them.
+    inside = count < L and 0 <= first and first + count <= L
+    j = np.arange(first, first + count)
+    if not inside:
+        j %= L
+    t = j - c_bins + L / 2.0 if inside else (j - c_bins + L / 2.0) % L
+    values = window((t - L / 2.0) * (sample_rate / L) / gamma) / math.sqrt(gamma)
     start, n = circular_cover(values > 0.0)
-    return int(j[start]), _take(values, start, n)
+    cover = values[start : start + n] if start + n <= count else _take(values, start, n)
+    return int(j[start]), cover
 
 
 def _channel_count(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
@@ -418,16 +436,14 @@ def build_audlet(
                 f"channel {k} (center {all_centers[k]:.6g} Hz) has no nonzero bins; "
                 "increase signal_length or r_bw"
             )
-        scaled = vals * math.sqrt(target / float(np.sum(vals**2)))
-        covers.append((start, scaled.astype(np.complex128)))
+        gain = math.sqrt(target / float(np.sum(vals**2)))
+        covers.append((start, np.multiply(vals, gain, out=np.empty(vals.size, np.complex128))))
 
+    sizes = np.array([values.size for _, values in covers])
+    cap_rate = np.floor(r_d * sample_rate * r_bw / np.asarray(all_gammas))
+    cap = np.maximum(1, np.minimum(L // sizes, cap_rate))
     divisors = _divisors(L)
-    decimations = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        cap_painless = L // covers[k][1].size
-        cap_rate = math.floor(r_d * sample_rate * r_bw / all_gammas[k])
-        cap = max(1, min(cap_painless, cap_rate))
-        decimations[k] = int(divisors[divisors <= cap][-1])
+    decimations = divisors[np.searchsorted(divisors, cap, side="right") - 1]
 
     return FilterBank(
         decimations=decimations,
@@ -559,8 +575,14 @@ def expanded_filters(fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
 def frequency_response(fb: FilterBank) -> np.ndarray:
     """Diagonal term H0[j] = sum_k |H_k[j]|^2 / d_k over the full system."""
     response = np.zeros(fb.signal_length)
-    for start, values, d in _expanded_covers(fb):
-        _add_at(response, start, (values.real**2 + values.imag**2) / d)
+    mirrors = []  # added after the stored channels, as in the full system
+    for k, ((start, values), d) in enumerate(zip(fb._covers, fb.decimations)):
+        energy = (values.real**2 + values.imag**2) / int(d)
+        _add_at(response, start, energy)
+        if fb.one_sided and 0 < k < fb.n_channels - 1:  # its channel's energy, reversed
+            mirrors.append(_mirror(start, energy, response.size))
+    for start, energy in mirrors:
+        _add_at(response, start, energy)
     return response
 
 

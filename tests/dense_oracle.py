@@ -53,6 +53,40 @@ def audlet_filters(fb):
     return filters, decimations
 
 
+def circular_cover(mask):
+    """The gap scan of ``filterbank.circular_cover`` for every mask: the
+    complement of the longest circular run of False values."""
+    idx = np.flatnonzero(mask)
+    n, L = idx.size, mask.size
+    if n == 0:
+        return (0, 0)
+    if n == L:
+        return (0, L)
+    gaps = np.empty(n, dtype=np.int64)
+    gaps[:-1] = np.diff(idx) - 1
+    gaps[-1] = idx[0] + L - idx[-1] - 1
+    i = int(np.argmax(gaps))
+    return (int(idx[(i + 1) % n]), int(L - gaps[i]))
+
+
+def window_cover(window, half_width, L, sample_rate, center, gamma):
+    """``filterbank._window_cover`` with every evaluated bin and offset
+    reduced mod L, whether the evaluated range wraps or not."""
+    c_bins = center * L / sample_rate
+    if abs(c_bins - round(c_bins)) < 1e-9:
+        c_bins = float(round(c_bins))
+    reach = half_width * gamma * L / sample_rate
+    first, count = 0, L
+    if reach < L / 2.0 - 2.0:
+        first = math.floor(c_bins - reach) - 1
+        count = math.ceil(c_bins + reach) + 2 - first
+    j = np.arange(first, first + count) % L
+    t = (j - c_bins + L / 2.0) % L - L / 2.0
+    values = window(t * (sample_rate / L) / gamma) / math.sqrt(gamma)
+    start, n = circular_cover(values > 0.0)
+    return int(j[start]), values.take(np.arange(start, start + n), mode="wrap")
+
+
 def expanded(fb):
     """Full channel system: stored filters, then mirrors of the mid channels."""
     if not fb.one_sided:

@@ -1,11 +1,13 @@
 """Command line interface: subcommands, exit codes, file formats."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 import audfb
-from audfb import cli, container
+from audfb import cli, container, filterbank
 
 
 def make_wav(path, seconds=1.5, rate=8000, dtype=np.float32, stereo=False):
@@ -102,6 +104,23 @@ class TestDiagnose:
         assert "lower frame bound A: " in out
         assert "condition number B/A: " in out
         assert "redundancy R: " in out
+        # the bank statistics follow the frame report and the redundancy
+        fb = audfb.build_audlet(0.0, 4000.0, 6.0, audfb.ERB, sample_rate=8000.0, signal_length=4096)
+        report = audfb.estimate_bounds(fb, "auto")
+        head = report.summary() + "\nredundancy R: %.17g\n" % fb.redundancy()
+        assert out.startswith(head)
+        stats = dict(line.split(": ") for line in out[len(head):].splitlines())
+        support = [filterbank.circular_cover(H != 0.0)[1] for H in fb.filters]
+        margin = min(n - s for n, s in zip(fb.subband_lengths(), support))
+        D = math.lcm(*(int(d) for d in fb.decimations))
+        assert stats == {
+            "channels": str(fb.n_channels),
+            "total support (bins)": str(sum(support)),
+            "largest support (bins)": str(max(support)),
+            "D = lcm(d_k)": str(D),
+            "painless margin (bins)": str(margin),
+        }
+        assert margin >= 0 and 4096 % D == 0  # painless, and D divides L
 
     def test_not_a_frame_exit_code(self, capsys):
         code = cli.main(

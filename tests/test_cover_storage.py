@@ -13,12 +13,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import audfb
 import dense_oracle as oracle
-from audfb import container
+from audfb import container, filterbank
 from audfb.errors import UnsupportedConfigError
 
 RTOL = 1e-12
@@ -120,6 +120,57 @@ def test_doubled_audlet_bank_matches_dense_oracle(params, seed):
     assert np.array_equal(audfb.frequency_response(fb), oracle.frequency_response(fb))
     assert_close(audfb.walnut_apply(fb, x), oracle.walnut_apply(fb, x))
     assert np.array_equal(audfb.alias_components(fb), oracle.alias_components(fb))
+
+
+window_cover_settings = st.fixed_dictionaries(
+    {
+        "scale": st.sampled_from([audfb.ERB, audfb.BARK]),
+        "prototype": st.sampled_from(["hann", "gauss", "rect"]),
+        "channels_per_unit": st.floats(0.5, 4.0),
+        # r_bw 3 and f_min up to 1000 Hz give gauss windows wider than L/2
+        "r_bw": st.one_of(st.floats(0.2, 3.0), st.just(3.0)),
+        "r_d": st.floats(0.25, 2.0),
+        "f_min": st.one_of(st.just(0.0), st.floats(30.0, 1000.0)),
+        "f_max": st.floats(1200.0, 4000.0),
+        "dc_filter": st.booleans(),
+        "signal_length": st.integers(96, 4096),
+    }
+)
+
+
+@given(params=window_cover_settings)
+@example(params=dict(scale=audfb.BARK, prototype="gauss", channels_per_unit=1.0, r_bw=3.0,
+                     r_d=1.0, f_min=700.0, f_max=4000.0, dc_filter=True, signal_length=96))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_window_covers_match_modulo_oracle(params):
+    """Windows evaluated inside [0, L) skip the reductions mod L. Covers and
+    decimations equal those of the oracle, which reduces every bin and
+    offset, on wrapping DC/Nyquist covers and full-circle windows too."""
+    params = dict(params)
+    args = [params.pop(name) for name in ("f_min", "f_max", "channels_per_unit", "scale")]
+
+    def build_with(window_cover):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(filterbank, "_window_cover", window_cover)
+            return audfb.build_audlet(*args, sample_rate=8000.0, **params)
+
+    try:
+        reference = build_with(oracle.window_cover)
+    except UnsupportedConfigError:
+        with pytest.raises(UnsupportedConfigError):
+            audfb.build_audlet(*args, sample_rate=8000.0, **params)
+        return
+    fb = audfb.build_audlet(*args, sample_rate=8000.0, **params)
+    assert [start for start, _ in fb._covers] == [start for start, _ in reference._covers]
+    assert_list_equal([v for _, v in fb._covers], [v for _, v in reference._covers])
+    assert np.array_equal(fb.decimations, reference.decimations)
+
+
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=40), run=st.integers(0, 40))
+def test_circular_cover_matches_gap_scan(mask, run):
+    """The one-run shortcut returns what the gap scan returns."""
+    for m in (np.array(mask), np.roll(np.arange(len(mask)) < run, run // 2)):
+        assert filterbank.circular_cover(m) == oracle.circular_cover(m)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Filter bank construction, analysis, synthesis, and layout handling."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,20 @@ def test_decimation_must_divide_signal_length():
             sample_rate=8.0,
             one_sided=False,
         )
+
+
+@pytest.mark.parametrize("name", ["center_frequencies", "dilations"])
+def test_per_channel_values_are_checked(default_erb_bank, name):
+    """Centers and dilations hold one finite value per channel; a bank with
+    one center too few wrote a container its own reader refused."""
+    values = getattr(default_erb_bank, name)
+    for wrong in (values[:-1], np.append(values, values[-1]), values.reshape(1, -1)):
+        with pytest.raises(ShapeError):
+            dataclasses.replace(default_erb_bank, **{name: wrong})
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError):
+            dataclasses.replace(default_erb_bank, **{name: np.where(np.arange(values.size) == 5, bad, values)})
+    assert getattr(dataclasses.replace(default_erb_bank, **{name: list(values)}), name) == list(values)
 
 
 @pytest.mark.parametrize(

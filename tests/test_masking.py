@@ -409,7 +409,10 @@ class TestSweepAgainstOracle:
     def test_non_finite_centers_rejected(self, mask_bank, bad):
         centers = mask_bank.center_frequencies.copy()
         centers[5] = bad
-        fb = dataclasses.replace(mask_bank, center_frequencies=centers)
+        with pytest.raises(DomainError):
+            dataclasses.replace(mask_bank, center_frequencies=centers)
+        fb = dataclasses.replace(mask_bank)
+        fb.center_frequencies = centers  # reassigned after construction
         c = [np.ones(n, dtype=complex) for n in fb.subband_lengths()]
         with pytest.raises(DomainError):
             masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
@@ -418,7 +421,10 @@ class TestSweepAgainstOracle:
     def test_center_count_must_match_channels(self, mask_bank, count):
         """A short list would leave channels out of both sweeps."""
         centers = np.resize(mask_bank.center_frequencies, mask_bank.n_channels + count)
-        fb = dataclasses.replace(mask_bank, center_frequencies=centers)
+        with pytest.raises(ShapeError):
+            dataclasses.replace(mask_bank, center_frequencies=centers)
+        fb = dataclasses.replace(mask_bank)
+        fb.center_frequencies = centers  # reassigned after construction
         c = [np.ones(n, dtype=complex) for n in fb.subband_lengths()]
         with pytest.raises(ShapeError):
             masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
