@@ -40,7 +40,7 @@ from scipy.io import wavfile
 from . import container, scales
 from .errors import AudfbError, ContainerError, ConvergenceError
 from .filterbank import FilterBank, analyze, build_audlet, parseval_normalize, synthesize
-from .frame_diagnostics import estimate_bounds
+from .frame_diagnostics import _lcm_decimation, estimate_bounds
 from .masking import IrrelevanceModel, _levels_db, irrelevance_filter
 from .synthesis import CGConfig, cg_synthesize, neumann_synthesize, painless_dual
 
@@ -218,7 +218,7 @@ def _cmd_diagnose(args) -> int:
     print("channels: %d" % fb.n_channels)
     print("total support (bins): %d" % support.sum())
     print("largest support (bins): %d" % support.max())
-    print("D = lcm(d_k): %d" % np.lcm.reduce(fb.decimations))
+    print("D = lcm(d_k): %d" % _lcm_decimation(fb.decimations))
     print("painless margin (bins): %d" % np.min(np.array(fb.subband_lengths()) - support))
     return 0 if report.bounds.lower > 0.0 else _EX_NOT_A_FRAME
 

@@ -42,6 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scales
+from .dsp_core import _as_signal
 from .errors import DomainError, ShapeError, UnsupportedConfigError
 
 __all__ = [
@@ -146,9 +147,7 @@ class FilterBank:
             raise ShapeError("filters must be a non-empty (channels, L) array")
         self._length = int(_length)
         self._covers = tuple(_covers)
-        self._view = None
-        self._walnut = None  # Walnut terms {r: H_r}, filled by frame_diagnostics
-        self._inverse = None  # blocks of S^-1, likewise
+        self._derived = {}  # values derived from the covers, one key per writer
         self.decimations = np.asarray(decimations, dtype=np.int64)
         if self.decimations.shape != (len(self._covers),):
             raise ShapeError("need one downsampling factor per channel")
@@ -176,10 +175,10 @@ class FilterBank:
     @property
     def filters(self) -> np.ndarray:
         """Dense (channels, L) transfers, zero outside each channel's cover."""
-        if self._view is None:
-            self._view = _dense(self._length, self._covers)
-            self._view.flags.writeable = False
-        return self._view
+        if "filters" not in self._derived:
+            self._derived["filters"] = _dense(self._length, self._covers)
+            self._derived["filters"].flags.writeable = False
+        return self._derived["filters"]
 
     @property
     def n_channels(self) -> int:
@@ -195,12 +194,8 @@ class FilterBank:
 
     def redundancy(self) -> float:
         """Coefficient count per input sample, counting conjugate mirrors."""
-        r = Fraction(0)
-        n = self.n_channels
-        for k, d in enumerate(self.decimations):
-            twice = self.one_sided and 0 < k < n - 1
-            r += Fraction(2 if twice else 1, int(d))
-        return float(r)
+        mirrors = [self.decimations[k] for k in _mirrored(self)]
+        return float(sum(Fraction(1, int(d)) for d in [*self.decimations, *mirrors]))
 
 
 def circular_cover(mask: np.ndarray) -> tuple[int, int]:
@@ -258,14 +253,18 @@ def _mirror(start: int, values: np.ndarray, L: int) -> tuple[int, np.ndarray]:
     return (1 - start - values.size) % L, np.conj(values[::-1])
 
 
+def _mirrored(fb: FilterBank) -> range:
+    """Indices of the stored channels that own a conjugate mirror: every
+    channel of a one-sided bank but DC and Nyquist, none of a full one."""
+    return range(1, fb.n_channels - 1) if fb.one_sided else range(0)
+
+
 def _expanded_covers(fb: FilterBank) -> list[tuple[int, np.ndarray, int]]:
     """(start, values, d) of every channel of the full system: the stored
-    channels, then for a one-sided bank the mirror of every mid channel."""
+    channels, then the mirror of every channel in :func:`_mirrored`."""
     out = [(start, values, int(d)) for (start, values), d in zip(fb._covers, fb.decimations)]
-    if fb.one_sided:
-        L = fb.signal_length
-        out += [(*_mirror(start, values, L), d) for start, values, d in out[1:-1]]
-    return out
+    L, mirrored = fb.signal_length, [out[k] for k in _mirrored(fb)]
+    return out + [(*_mirror(start, values, L), d) for start, values, d in mirrored]
 
 
 def _fold(values: np.ndarray, start: int, N: int) -> np.ndarray:
@@ -519,11 +518,9 @@ def analyze(fb: FilterBank, x) -> list[np.ndarray]:
     The downsampled spectrum is formed by alias-folding X * H_k, which is the
     same map computed with length-L/d_k inverse transforms.
     """
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != fb.signal_length:
+    x = _as_signal(x)
+    if x.shape[0] != fb.signal_length:
         raise ShapeError(f"signal must have length {fb.signal_length}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("signal must be finite")
     X = np.fft.fft(x)
     L = fb.signal_length
     out = []
@@ -545,11 +542,11 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
     coefficients = _check_coefficients(fb, coefficients)
     L = fb.signal_length
     total = np.zeros(L, dtype=np.complex128)
-    last = fb.n_channels - 1
+    mirrored = _mirrored(fb)
     for k, (c, (start, values)) in enumerate(zip(coefficients, fb._covers)):
         term = _take(np.fft.fft(c), start, values.size) * values
         _add_at(total, start, term)
-        if fb.one_sided and 0 < k < last:
+        if k in mirrored:
             _add_at(total, *_mirror(start, term, L))
     return np.fft.ifft(total)
 
@@ -574,12 +571,12 @@ def expanded_filters(fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
 
 def frequency_response(fb: FilterBank) -> np.ndarray:
     """Diagonal term H0[j] = sum_k |H_k[j]|^2 / d_k over the full system."""
-    response = np.zeros(fb.signal_length)
+    response, mirrored = np.zeros(fb.signal_length), _mirrored(fb)
     mirrors = []  # added after the stored channels, as in the full system
     for k, ((start, values), d) in enumerate(zip(fb._covers, fb.decimations)):
         energy = (values.real**2 + values.imag**2) / int(d)
         _add_at(response, start, energy)
-        if fb.one_sided and 0 < k < fb.n_channels - 1:  # its channel's energy, reversed
+        if k in mirrored:  # its channel's energy, reversed
             mirrors.append(_mirror(start, energy, response.size))
     for start, energy in mirrors:
         _add_at(response, start, energy)

@@ -1,20 +1,20 @@
 """Frame-theoretic diagnostics for filter banks.
 
-With D = lcm(d_k) the frame operator S of a bank acts on spectra as a banded
-matrix in the DFT domain:
+The frame operator S of a bank acts on spectra as a sum of shifted copies in
+the DFT domain (the Walnut representation):
 
-    (S x)^[j] = sum_{r=0}^{D-1} Hr[j] * X[(j - r*L/D) mod L]
+    (S x)^[j] = sum_s H_s[j] * X[(j - s) mod L]
 
-where H0 (the frequency response) collects the diagonal and the Hr for r >= 1
-(the alias components) collect everything off it. This module computes those
-terms once per bank, over the r that occur, and keeps them on the bank (H0
-comes from :mod:`audfb.filterbank` and is re-exported here). The bounds,
-:func:`walnut_apply` and :func:`alias_components` all read them. The
-connected components of the links j ~ j - r*L/D (polyphase blocks of the
-equivalent uniform bank, split further) are small Hermitian blocks of S,
-written by one function: the exact bounds are their extreme eigenvalues,
-and their inverses, kept on the bank, precondition CG. It also
-classifies banks (painless, diagonally dominant), measures the
+over the bin shifts s = i*L/d_k, where H_0 (the frequency response) collects
+the diagonal and the H_s for s >= 1 (the alias components) collect everything
+off it. This module computes those terms once per bank, over the shifts that
+occur, and keeps them on the bank (H_0 comes from :mod:`audfb.filterbank` and
+is re-exported here). The bounds, :func:`walnut_apply` and
+:func:`alias_components` all read them. The connected components of the links
+j ~ j - s (polyphase blocks of the equivalent uniform bank, split further) are
+small Hermitian blocks of S, written by one function: the exact bounds are
+their extreme eigenvalues, and their inverses, kept on the bank, precondition
+CG. It also classifies banks (painless, diagonally dominant), measures the
 perfect-reconstruction residual of an analysis/synthesis pair from the same
 kind of terms, and rewrites a non-uniform bank as an equivalent uniform one.
 
@@ -69,7 +69,7 @@ class FrameReport:
     frequency_response : ndarray
         The diagonal term H0 over the L bins, always non-negative.
     alias_norms : ndarray
-        sum_{r>=1} |Hr| per bin; identically zero for painless banks.
+        sum_{s>=1} |H_s| over bin shifts s; identically zero for painless banks.
     painless : bool
         Result of :func:`painless_check`.
     bounds : Bounds
@@ -123,42 +123,41 @@ def _lcm_decimation(decimations) -> int:
 
 
 def _walnut_terms(left, right, L: int) -> dict[int, np.ndarray]:
-    """Alias-domain terms {r: T_r} of two channel systems, in ascending r.
+    """Alias-domain terms {s: T_s} of two channel systems, by ascending bin shift s.
 
     ``left`` and ``right`` are (start, values, d) covers of G_k and H_k with
-    equal decimations. With D = lcm(d_k) and q_k = D/d_k,
+    equal decimations. Channel k contributes at the shifts s = i*L/d_k:
 
-        T_r[j] = sum_{k: q_k | r} G_k[j] * H_k[(j - r*L/D) mod L] / d_k.
+        T_s[j] = sum_{k: (L/d_k) | s} G_k[j] * H_k[(j - s) mod L] / d_k.
 
     Each product is summed only over the circular runs of bins where the
-    cover of G_k meets the cover of H_k shifted by i*L/d_k (r = i*q_k), so
-    T_0 is always present and T_r for r >= 1 only where such runs exist.
+    cover of G_k meets the cover of H_k shifted by s, so T_0 is always
+    present and T_s for s >= 1 only where such runs exist.
     """
-    D = _lcm_decimation(d for *_, d in right)
     terms = {0: np.zeros(L, dtype=np.complex128)}
     for (start_g, vg, _), (start_h, vh, d) in zip(left, right):
         ng, nh = vg.size, vh.size
         # where G's cover starts inside the shifted cover of H
         offsets = (start_g - start_h - (L // d) * np.arange(d)) % L
         for i in np.flatnonzero((offsets < nh) | (offsets > L - ng)).tolist():
-            e, r = int(offsets[i]), i * (D // d)
-            if r not in terms:
-                terms[r] = np.zeros(L, dtype=np.complex128)
+            e, s = int(offsets[i]), i * (L // d)
+            if s not in terms:
+                terms[s] = np.zeros(L, dtype=np.complex128)
             if e < nh:
                 n = min(ng, nh - e)
-                _add_at(terms[r], start_g, vg[:n] * vh[e : e + n] / d)
+                _add_at(terms[s], start_g, vg[:n] * vh[e : e + n] / d)
             if L - e < ng:
                 n = min(ng - (L - e), nh)
-                _add_at(terms[r], (start_g + L - e) % L, vg[L - e : L - e + n] * vh[:n] / d)
+                _add_at(terms[s], (start_g + L - e) % L, vg[L - e : L - e + n] * vh[:n] / d)
     return dict(sorted(terms.items()))
 
 
 def _frame_terms(fb: FilterBank) -> dict[int, np.ndarray]:
-    """Walnut terms {r: H_r} of the bank's frame operator, H_0 being
-    :func:`frequency_response`. Computed on first use and kept read-only on
-    the bank; ``dataclasses.replace`` makes a new bank with none. A painless
-    bank has no shifted overlaps, so only H_0 is computed for it."""
-    if fb._walnut is None:
+    """Walnut terms {s: H_s} of the bank's frame operator, s a bin shift and
+    H_0 :func:`frequency_response`. Computed on first use and kept read-only
+    on the bank; ``dataclasses.replace`` makes a new bank with none. A
+    painless bank has no shifted overlaps, so only H_0 is computed for it."""
+    if "walnut_terms" not in fb._derived:
         terms = {0: None}
         if not painless_check(fb):
             covers = _expanded_covers(fb)
@@ -167,13 +166,13 @@ def _frame_terms(fb: FilterBank) -> dict[int, np.ndarray]:
         terms[0] = frequency_response(fb)
         for H in terms.values():
             H.flags.writeable = False
-        fb._walnut = terms
-    return fb._walnut
+        fb._derived["walnut_terms"] = terms
+    return fb._derived["walnut_terms"]
 
 
 def _component_blocks(fb: FilterBank, budget: bool):
-    """Blocks of S in the DFT domain: the terms link bin j with bin j - r*L/D
-    where H_r[j] != 0, and each connected component is a Hermitian block of
+    """Blocks of S in the DFT domain: the terms link bin j with bin j - s
+    where H_s[j] != 0, and each connected component is a Hermitian block of
     S. Returns one (bins, S) pair per block size, ascending, with S a view
     of one flat array, and the largest row sum of |S| (a bound on its
     spectrum). With ``budget`` it returns None when the largest component
@@ -181,11 +180,10 @@ def _component_blocks(fb: FilterBank, budget: bool):
     ``_ENTRY_BUDGET * L`` entries, which the nonzero terms alone may show
     before any link is listed."""
     terms, L = _frame_terms(fb), fb.signal_length
-    if budget and L + sum(np.count_nonzero(H) for r, H in terms.items() if r) > _ENTRY_BUDGET * L:
+    if budget and L + sum(np.count_nonzero(H) for s, H in terms.items() if s) > _ENTRY_BUDGET * L:
         return None
-    hop = L // _lcm_decimation(fb.decimations)
-    rows = [np.flatnonzero(H) if r else np.arange(L) for r, H in terms.items()]
-    cols = np.concatenate([(j - r * hop) % L for r, j in zip(terms, rows)])
+    rows = [np.flatnonzero(H) if s else np.arange(L) for s, H in terms.items()]
+    cols = np.concatenate([(j - s) % L for s, j in zip(terms, rows)])
     values = np.concatenate([H[j] for H, j in zip(terms.values(), rows)])
     rows = np.concatenate(rows)
     # min-label propagation with pointer jumping over the links (entries past
@@ -226,7 +224,7 @@ def _component_inverse(fb: FilterBank) -> tuple:
     Raises NotAFrameError when a block is not clearly positive definite:
     S - floor*I has no Cholesky factor, floor being n*eps times the bound
     on the spectrum, so S has an eigenvalue within rounding of 0."""
-    if fb._inverse is None:
+    if "inverse" not in fb._derived:
         found = _component_blocks(fb, budget=True) if len(_frame_terms(fb)) > 1 else None
         blocks, bound = found or ((), 0.0)
         floor = (blocks[-1][0].shape[1] if blocks else 0) * np.finfo(float).eps * bound
@@ -237,16 +235,16 @@ def _component_inverse(fb: FilterBank) -> tuple:
                 raise NotAFrameError("frame operator singular to rounding: not a frame") from None
             S[...] = np.linalg.inv(S)  # in place: the blocks share one array
             bins.flags.writeable = S.flags.writeable = False
-        fb._inverse = tuple(blocks)
-    return fb._inverse
+        fb._derived["inverse"] = tuple(blocks)
+    return fb._derived["inverse"]
 
 
 def alias_components(fb: FilterBank) -> np.ndarray:
-    """Off-diagonal terms Hr for r = 1 .. D-1, D = lcm(d_k), as an array
-    of shape (D-1, L).
+    """Off-diagonal Walnut terms as an array of shape (D-1, L), D = lcm(d_k):
+    row r-1 holds H_s at the bin shift s = r*L/D, for r = 1 .. D-1.
 
-    Channel k contributes conj(H_k[j]) * H_k[(j - r*L/D) mod L] / d_k exactly
-    at the r that are multiples of q_k = D/d_k. The values are complex; for
+    Channel k contributes conj(H_k[j]) * H_k[(j - s) mod L] / d_k exactly at
+    the shifts s that are multiples of L/d_k. The values are complex; for
     painless banks every entry is exactly zero (supports of the shifted
     copies are disjoint).
 
@@ -264,9 +262,9 @@ def alias_components(fb: FilterBank) -> np.ndarray:
             f"alias components need (D-1)*L <= {DENSE_EIGEN_MAX_LENGTH**2}, got {(D - 1) * L}"
         )
     out = np.zeros((D - 1, L), dtype=np.complex128)
-    for r, H in _frame_terms(fb).items():
-        if r:
-            out[r - 1] = H
+    for s, H in _frame_terms(fb).items():
+        if s:
+            out[s * D // L - 1] = H
     return out
 
 
@@ -286,7 +284,7 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
     method : str
         ``painless-exact`` (optimal bounds min/max H0, requires a painless
         bank), ``diag-dominance`` (Gershgorin-style bracket from H0 and the
-        alias norms sum_{r>=1} |Hr|, lower bound clamped at zero),
+        alias norms sum_{s>=1} |H_s|, lower bound clamped at zero),
         ``dense-eigen`` (exact extreme eigenvalues of the frame operator,
         taken over the Hermitian blocks of its connected components with
         one ``eigvalsh`` per block size; refused when the blocks are over
@@ -313,8 +311,8 @@ def estimate_bounds(fb: FilterBank, method: str = "auto") -> FrameReport:
         raise UnsupportedConfigError("painless-exact bounds need a painless bank")
     terms = _frame_terms(fb)
     response = terms[0]
-    # summed in ascending r; a painless bank has no r >= 1 and gets zeros
-    alias_norms = sum((np.abs(H) for r, H in terms.items() if r), np.zeros(L))
+    # summed in ascending s; a painless bank has no s >= 1 and gets zeros
+    alias_norms = sum((np.abs(H) for s, H in terms.items() if s), np.zeros(L))
     if method == "painless-exact":
         bounds = finite_frames.Bounds(float(response.min()), float(response.max()))
     elif method == "diag-dominance":
@@ -342,10 +340,10 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
 
     Sums the bank's Walnut terms against shifted copies of the spectrum,
 
-        (S x)^[j] = sum_r Hr[j] * X[(j - r*L/D) mod L],
+        (S x)^[j] = sum_s H_s[j] * X[(j - s) mod L],
 
-    over the r that occur, in ascending order. A painless bank has only
-    r = 0, so S multiplies the spectrum by the frequency response. The terms
+    over the bin shifts s that occur, in ascending order. A painless bank has
+    only s = 0, so S multiplies the spectrum by the frequency response. The terms
     are computed on the first call and cached on the bank. This is an
     independent route to S; it never runs the analysis/synthesis pipeline.
     """
@@ -354,19 +352,17 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
     if x.shape[0] != L:
         raise ShapeError(f"signal length {x.shape[0]} does not match bank length {L}")
     X = np.fft.fft(x)
-    hop = L // _lcm_decimation(fb.decimations)
     XX = np.concatenate([X, X])  # X[(j - s) mod L] over j is XX[L - s : 2L - s]
-    terms = _frame_terms(fb).items()
-    return np.fft.ifft(sum(H * XX[L - r * hop : 2 * L - r * hop] for r, H in terms))
+    return np.fft.ifft(sum(H * XX[L - s : 2 * L - s] for s, H in _frame_terms(fb).items()))
 
 
 def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
     """Perfect-reconstruction residual of an analysis/synthesis bank pair.
 
     Evaluates the composed alias-domain transfer on every DFT bin: with
-    T_r[j] = sum_{k: q_k | r} G_k[j] * H_k[(j - r*L/D) mod L] / d_k,
+    T_s[j] = sum_{k: (L/d_k) | s} G_k[j] * H_k[(j - s) mod L] / d_k,
     reconstruction equals a delay by l exactly when T_0[j] = e^(-2*pi*i*j*l/L)
-    and T_r vanishes for r >= 1. The delay l = 0 .. L-1 with the smallest
+    and T_s vanishes for every bin shift s >= 1. The delay l = 0 .. L-1 with the smallest
     worst entry-wise error wins, the smallest l on a tie; the reported
     deviation is that error (so a zero synthesis bank scores 1).
 

@@ -225,11 +225,10 @@ def pr_residual(fb_ana, fb_syn):
 
 
 def roll_walnut_apply(fb, x):
-    """Walnut sum with one np.roll copy of the spectrum per alias term r."""
+    """Walnut sum with one np.roll copy of the spectrum per bin shift s."""
     terms = frame_diagnostics._frame_terms(fb)
-    hop = fb.signal_length // math.lcm(*(int(d) for d in fb.decimations))
     X = np.fft.fft(x)
-    return np.fft.ifft(sum(H * np.roll(X, r * hop) for r, H in terms.items()))
+    return np.fft.ifft(sum(H * np.roll(X, s) for s, H in terms.items()))
 
 
 def response_pcg(fb, coefficients, tolerance=1e-10, max_iterations=None):
