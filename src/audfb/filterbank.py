@@ -100,16 +100,19 @@ class BankConfig:
     parseval: bool = False
 
 
-@dataclass(init=False)
+@dataclass(init=False, frozen=True)
 class FilterBank:
     """Frequency-domain filter bank; see the module docstring for semantics.
 
     Construct it from dense ``filters`` of shape (channels, L), which are
     reduced to one circular cover per row and not kept. ``filters`` reads
     back a dense, read-only (channels, L) view of the covers that is built
-    on first access and cached. ``dataclasses.replace`` keeps the covers
-    unless it is given new ``filters``. ``center_frequencies`` and
-    ``dilations``, when given, hold one finite value per channel.
+    on first access and cached. A bank never changes: its fields cannot be
+    reassigned and ``decimations`` is a read-only int64 copy of integral
+    factors, so the values derived from it stay valid. Derive a changed
+    bank with ``dataclasses.replace``, which keeps the covers unless it is
+    given new ``filters``. ``center_frequencies`` and ``dilations``, when
+    given, hold one finite value per channel.
     """
 
     decimations: np.ndarray
@@ -145,32 +148,36 @@ class FilterBank:
             _covers = [_cover_of(row) for row in filters]
         elif not _covers:
             raise ShapeError("filters must be a non-empty (channels, L) array")
-        self._length = int(_length)
-        self._covers = tuple(_covers)
-        self._derived = {}  # values derived from the covers, one key per writer
-        self.decimations = np.asarray(decimations, dtype=np.int64)
-        if self.decimations.shape != (len(self._covers),):
+        given = np.asarray(decimations)
+        with np.errstate(invalid="ignore"):  # a non-finite factor fails the test below
+            decimations = given.astype(np.int64)
+        if decimations.shape != (len(_covers),):
             raise ShapeError("need one downsampling factor per channel")
-        L = self._length
-        for d in self.decimations:
+        if np.any(decimations != given):
+            raise ShapeError("downsampling factors must be integers")
+        decimations.flags.writeable = False
+        L = int(_length)
+        for d in decimations:
             if d < 1 or L % int(d) != 0:
                 raise ShapeError(f"downsampling factor {int(d)} must divide L={L}")
-        if one_sided and len(self._covers) < 2:
+        if one_sided and len(_covers) < 2:
             raise ShapeError("a one-sided bank needs at least DC and Nyquist channels")
         for name, per_channel in (("center_frequencies", center_frequencies),
                                   ("dilations", dilations)):
             if per_channel is None:
                 continue
             per_channel = np.asarray(per_channel, dtype=np.float64)
-            if per_channel.shape != (len(self._covers),):
+            if per_channel.shape != (len(_covers),):
                 raise ShapeError(f"{name} must hold one value per channel")
             if not np.all(np.isfinite(per_channel)):
                 raise DomainError(f"{name} must be finite")
-        self.sample_rate = sample_rate
-        self.one_sided = one_sided
-        self.center_frequencies = center_frequencies
-        self.dilations = dilations
-        self.config = config
+        values = dict(decimations=decimations, sample_rate=sample_rate, one_sided=one_sided,
+                      center_frequencies=center_frequencies, dilations=dilations, config=config,
+                      _length=L, _covers=tuple(_covers))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        # values derived from the fields, one key per writer; the only mutable part
+        object.__setattr__(self, "_derived", {})
 
     @property
     def filters(self) -> np.ndarray:

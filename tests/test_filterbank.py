@@ -301,6 +301,50 @@ def test_per_channel_values_are_checked(default_erb_bank, name):
     assert getattr(dataclasses.replace(default_erb_bank, **{name: list(values)}), name) == list(values)
 
 
+class TestFrozenBank:
+    """A bank never changes after construction, so the values it derives
+    (Walnut terms, dense view, inverse blocks) cannot go stale."""
+
+    def bank(self):
+        return audfb.build_audlet(0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=1024)
+
+    @pytest.mark.parametrize("name", ["decimations", "sample_rate", "one_sided", "center_frequencies",
+                                      "config", "_covers"])
+    def test_assignment_raises(self, name):
+        fb = self.bank()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fb, name, getattr(fb, name))
+
+    def test_in_place_update_of_decimations_raises(self):
+        fb = self.bank()
+        x = np.random.default_rng(2).standard_normal(1024)
+        before = audfb.walnut_apply(fb, x)
+        with pytest.raises(ValueError):
+            fb.decimations *= 2
+        with pytest.raises(ValueError):
+            fb.decimations[0] = 2
+        assert np.array_equal(audfb.walnut_apply(fb, x), before)
+        doubled = dataclasses.replace(fb, decimations=2 * fb.decimations)
+        assert audfb.estimate_bounds(doubled).method == "diag-dominance"
+
+    def test_callers_array_stays_writable(self):
+        fb = self.bank()
+        given = fb.decimations.copy()
+        other = dataclasses.replace(fb, decimations=given)
+        assert given.flags.writeable and not other.decimations.flags.writeable
+        given[0] = 2
+        assert other.decimations[0] == fb.decimations[0]
+
+    @pytest.mark.parametrize("offset", [0.5, 0.999, np.nan, np.inf])
+    def test_non_integral_decimations_refused(self, offset):
+        fb = self.bank()
+        with np.errstate(invalid="raise"), pytest.raises(ShapeError):
+            dataclasses.replace(fb, decimations=fb.decimations + offset)
+        integral = dataclasses.replace(fb, decimations=fb.decimations.astype(float).tolist())
+        assert integral.decimations.dtype == np.int64
+        assert np.array_equal(integral.decimations, fb.decimations)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -411,8 +411,9 @@ class TestSweepAgainstOracle:
         centers[5] = bad
         with pytest.raises(DomainError):
             dataclasses.replace(mask_bank, center_frequencies=centers)
-        fb = dataclasses.replace(mask_bank)
-        fb.center_frequencies = centers  # reassigned after construction
+        centers = mask_bank.center_frequencies.copy()
+        fb = dataclasses.replace(mask_bank, center_frequencies=centers)
+        centers[5] = bad  # the bank keeps the array it was given
         c = [np.ones(n, dtype=complex) for n in fb.subband_lengths()]
         with pytest.raises(DomainError):
             masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
@@ -423,8 +424,9 @@ class TestSweepAgainstOracle:
         centers = np.resize(mask_bank.center_frequencies, mask_bank.n_channels + count)
         with pytest.raises(ShapeError):
             dataclasses.replace(mask_bank, center_frequencies=centers)
-        fb = dataclasses.replace(mask_bank)
-        fb.center_frequencies = centers  # reassigned after construction
+        centers = list(mask_bank.center_frequencies)
+        fb = dataclasses.replace(mask_bank, center_frequencies=centers)
+        centers[:] = np.resize(centers, len(centers) + count)  # the bank keeps the list it was given
         c = [np.ones(n, dtype=complex) for n in fb.subband_lengths()]
         with pytest.raises(ShapeError):
             masking.irrelevance_threshold(c, fb, masking.IrrelevanceModel())
