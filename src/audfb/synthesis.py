@@ -247,14 +247,15 @@ def neumann_synthesize(
         bracket can put A at 0 for a frame (exact A = 1.73e-5 for the
         ERB/rect bank at L=4096 with doubled decimations).
     tolerance, max_iterations, return_trace
-        Stopping controls as above; tolerance is positive and finite.
+        Stopping controls as above; tolerance is positive and finite and
+        max_iterations at least 1.
 
     Raises
     ------
     NotAFrameError
         bounds.lower is not positive.
     DomainError
-        tolerance is not positive and finite.
+        tolerance is not positive and finite, or max_iterations is below 1.
     ConvergenceError
         Update still above tolerance at the iteration cap.
     """
@@ -263,6 +264,8 @@ def neumann_synthesize(
         raise NotAFrameError("lower frame bound is zero: frame algorithm undefined")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise DomainError("tolerance must be positive and finite")
+    if max_iterations < 1:
+        raise DomainError("max_iterations must be at least 1")
     relax = 2.0 / (lower + upper)
 
     b = _rhs(fb, coefficients)

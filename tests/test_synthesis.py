@@ -356,3 +356,11 @@ class TestNeumann:
         c = audfb.analyze(fb, rng.standard_normal(512))
         with pytest.raises(DomainError):
             synthesis.neumann_synthesize(fb, c, bounds=(0.5, 2.0), tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_iteration_budget_must_be_positive(self, rng, max_iterations):
+        """An empty budget raised IndexError from the convergence message."""
+        fb = audfb.build_audlet(0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512)
+        c = audfb.analyze(fb, rng.standard_normal(512))
+        with pytest.raises(DomainError):
+            synthesis.neumann_synthesize(fb, c, bounds=(0.5, 2.0), max_iterations=max_iterations)
