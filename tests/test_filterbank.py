@@ -51,15 +51,33 @@ def test_painless_support_condition(default_erb_bank):
         assert length <= fb.signal_length // fb.decimations[k]
 
 
-def test_default_redundancy(default_erb_bank):
-    """Redundancy via exact rational arithmetic, doubling the mirrored mids."""
-    fb = default_erb_bank
+def dc_nyquist_bank():
+    """A one-sided bank of only its DC and Nyquist channels: no mirrors."""
+    filters = np.zeros((2, 16))
+    filters[0, [15, 0, 1]] = 1.0
+    filters[1, 7:10] = 1.0
+    return audfb.FilterBank(filters, decimations=[2, 4], sample_rate=16.0, one_sided=True)
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        pytest.param(None, 8.646484375, id="erb"),
+        pytest.param(lambda: filterbank.build_gabor(np.ones(64, dtype=complex), 4, 16, 64), 4.0,
+                     id="gabor"),
+        pytest.param(dc_nyquist_bank, 0.75, id="dc_nyquist"),
+    ],
+)
+def test_default_redundancy(default_erb_bank, make, value):
+    """Redundancy via exact rational arithmetic, doubling the mirrored mids,
+    equals the coefficient rate of the full system of expanded_filters."""
+    fb = default_erb_bank if make is None else make()
     decs = [int(d) for d in fb.decimations]
-    expected = Fraction(1, decs[0]) + Fraction(1, decs[-1])
-    for d in decs[1:-1]:
-        expected += Fraction(2, d)
-    assert fb.redundancy() == float(expected)
-    assert fb.redundancy() == 8.646484375
+    expected = sum(
+        Fraction(2 if fb.one_sided and 0 < k < len(decs) - 1 else 1, d) for k, d in enumerate(decs)
+    )
+    assert fb.redundancy() == float(expected) == value
+    assert fb.redundancy() == float(sum(Fraction(1, int(d)) for d in audfb.expanded_filters(fb)[1]))
 
 
 def test_subband_lengths(default_erb_bank):
