@@ -171,10 +171,10 @@ class FilterBank:
                 raise ShapeError(f"{name} must hold one value per channel")
             if not np.all(np.isfinite(per_channel)):
                 raise DomainError(f"{name} must be finite")
-        values = dict(decimations=decimations, sample_rate=sample_rate, one_sided=one_sided,
-                      center_frequencies=center_frequencies, dilations=dilations, config=config,
-                      _length=L, _covers=tuple(_covers))
-        for name, value in values.items():
+        state = dict(decimations=decimations, sample_rate=sample_rate, one_sided=one_sided,
+                     center_frequencies=center_frequencies, dilations=dilations, config=config,
+                     _length=L, _covers=tuple(_covers))
+        for name, value in state.items():
             object.__setattr__(self, name, value)
         # values derived from the fields, one key per writer; the only mutable part
         object.__setattr__(self, "_derived", {})
@@ -201,8 +201,9 @@ class FilterBank:
 
     def redundancy(self) -> float:
         """Coefficient count per input sample, counting conjugate mirrors."""
-        mirrors = [self.decimations[k] for k in _mirrored(self)]
-        return float(sum(Fraction(1, int(d)) for d in [*self.decimations, *mirrors]))
+        mirrored = _mirrored(self)
+        return float(sum(Fraction(2 if k in mirrored else 1, int(d))
+                         for k, d in enumerate(self.decimations)))
 
 
 def circular_cover(mask: np.ndarray) -> tuple[int, int]:
