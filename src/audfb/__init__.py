@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import container, dsp_core, finite_frames
+from . import container, finite_frames
 from .errors import (
     AudfbError,
     ContainerError,
@@ -107,6 +107,5 @@ __all__ = [
     "irrelevance_threshold",
     "irrelevance_filter",
     "container",
-    "dsp_core",
     "finite_frames",
 ]

@@ -5,6 +5,8 @@ a per-channel downsampling factor d_k (every d_k divides L). Analysis of a
 signal x is y_k = downsample(idft(dft(x) * H_k), d_k); synthesis of subband
 coefficients c is the adjoint-shaped sum over channels of
 idft(dft(upsample(c_k, d_k)) * G_k) with the stored filters used as G_k.
+The DFT is unnormalized, the inverse carries the 1/L factor, and bin j holds
+the transfer value at e^(2*pi*i*j/L).
 
 Storage: each H_k is kept as its circular cover, the shortest circular
 interval of bins outside which H_k vanishes, as a start bin plus the values
@@ -42,7 +44,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import scales
-from .dsp_core import _as_signal
 from .errors import DomainError, ShapeError, UnsupportedConfigError
 
 __all__ = [
@@ -100,7 +101,7 @@ class BankConfig:
     parseval: bool = False
 
 
-@dataclass(init=False, frozen=True)
+@dataclass(init=False, frozen=True, eq=False)
 class FilterBank:
     """Frequency-domain filter bank; see the module docstring for semantics.
 
@@ -502,6 +503,16 @@ def build_gabor(window: np.ndarray, a: int, M: int, L: int, sample_rate: float =
         sample_rate=float(sample_rate),
         one_sided=False,
     )
+
+
+def _as_signal(x) -> np.ndarray:
+    """x as a non-empty 1-D array of finite samples."""
+    x = np.asarray(x)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise ShapeError("expected a non-empty 1-D sample array")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("samples must be finite")
+    return x
 
 
 def _check_coefficients(fb: FilterBank, coefficients, dtype=np.complex128) -> list[np.ndarray]:

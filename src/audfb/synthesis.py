@@ -242,7 +242,7 @@ def neumann_synthesize(
     fb : FilterBank
     coefficients : list of 1-D complex arrays
     bounds : Bounds
-        Frame bound estimates (lower, upper) with positive lower bound.
+        Frame bound estimates (lower, upper) with 0 < lower <= upper < inf.
         For a non-painless bank pass exact bounds: the diag-dominance
         bracket can put A at 0 for a frame (exact A = 1.73e-5 for the
         ERB/rect bank at L=4096 with doubled decimations).
@@ -255,13 +255,16 @@ def neumann_synthesize(
     NotAFrameError
         bounds.lower is not positive.
     DomainError
-        tolerance is not positive and finite, or max_iterations is below 1.
+        bounds are not ordered and finite, tolerance is not positive and
+        finite, or max_iterations is below 1.
     ConvergenceError
         Update still above tolerance at the iteration cap.
     """
     lower, upper = float(bounds[0]), float(bounds[1])
     if not lower > 0.0:
         raise NotAFrameError("lower frame bound is zero: frame algorithm undefined")
+    if not lower <= upper < math.inf:
+        raise DomainError(f"frame bounds need A <= B < inf, got ({lower}, {upper})")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise DomainError("tolerance must be positive and finite")
     if max_iterations < 1:

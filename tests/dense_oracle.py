@@ -1,10 +1,17 @@
 """Dense reference implementations of the filter-bank spectral formulas.
 
-Each function works on the dense (channels, L) transfers ``fb.filters`` and
-evaluates its formula over all L bins, as the library did before it stored
-filters as circular covers. The tests compare the cover-based library
-against these, so nothing here may call the library's spectral code, with
-the one exception named above the solver oracles at the end.
+The signal helpers first (dft, idft, downsample, upsample, circular
+convolution) state the DFT convention of ``audfb.filterbank``: forward
+unnormalized, inverse carrying the 1/L factor, bin j holding the transfer
+value at e^(2*pi*i*j/L). The filter-bank tests build their time-domain
+oracles from them.
+
+Each function after them works on the dense (channels, L) transfers
+``fb.filters`` and evaluates its formula over all L bins, as the library did
+before it stored filters as circular covers. The tests compare the
+cover-based library against these, so nothing here may call the library's
+spectral code, with the one exception named above the solver oracles at the
+end.
 """
 
 import math
@@ -12,7 +19,49 @@ import math
 import numpy as np
 
 from audfb import filterbank, finite_frames, frame_diagnostics, synthesis
-from audfb.errors import ConvergenceError
+from audfb.errors import ConvergenceError, DomainError, ShapeError
+from audfb.filterbank import _as_signal
+
+
+def dft(x):
+    """Unnormalized forward DFT, X[j] = sum_n x[n] e^(-2*pi*i*j*n/L)."""
+    return np.fft.fft(_as_signal(x))
+
+
+def idft(X):
+    """Inverse DFT with the 1/L factor; idft(dft(x)) == x."""
+    return np.fft.ifft(_as_signal(X))
+
+
+def downsample(x, d):
+    """Keep every d-th sample, x[d*n]. Requires d to divide the length."""
+    x = _as_signal(x)
+    d = int(d)
+    if d < 1:
+        raise DomainError("downsampling factor must be >= 1")
+    if x.shape[0] % d != 0:
+        raise ShapeError(f"factor {d} does not divide length {x.shape[0]}")
+    return x[::d].copy()
+
+
+def upsample(x, d):
+    """Insert d-1 zeros after each sample; output length L*d."""
+    x = _as_signal(x)
+    d = int(d)
+    if d < 1:
+        raise DomainError("upsampling factor must be >= 1")
+    out = np.zeros(x.shape[0] * d, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
+    out[::d] = x
+    return out
+
+
+def circular_convolve(x, h):
+    """Circular convolution of equal-length signals via the spectral product."""
+    x = _as_signal(x)
+    h = _as_signal(h)
+    if x.shape[0] != h.shape[0]:
+        raise ShapeError(f"length mismatch: {x.shape[0]} vs {h.shape[0]}")
+    return np.fft.ifft(np.fft.fft(x) * np.fft.fft(h))
 
 
 def _mirror_spectrum(V):
@@ -163,6 +212,19 @@ def alias_components(fb):
     return out
 
 
+def walnut_terms(fb):
+    """{s: H_s} for every bin shift s >= 1 at which H_s has a nonzero entry,
+    ascending: H_s[j] = sum conj(H_k[j]) * H_k[(j - s) mod L] / d_k over the
+    channels k of :func:`expanded` with L/d_k dividing s, in channel order."""
+    L = fb.signal_length
+    zero, terms = np.zeros(L, dtype=np.complex128), {}
+    for H, d in zip(*expanded(fb)):
+        d = int(d)
+        for s in range(L // d, L, L // d):
+            terms[s] = terms.get(s, zero) + np.conj(H) * np.roll(H, s) / d
+    return {s: terms[s] for s in sorted(terms) if np.any(terms[s])}
+
+
 def atom_frame(fb):
     """The bank's full atom system as a finite frame: channel k and time n
     give the vector m -> conj(h_k[(n*d_k - m) mod L])."""
@@ -225,10 +287,16 @@ def pr_residual(fb_ana, fb_syn):
 
 
 def roll_walnut_apply(fb, x):
-    """Walnut sum with one np.roll copy of the spectrum per bin shift s."""
-    terms = frame_diagnostics._frame_terms(fb)
+    """Walnut sum with one np.roll copy of the spectrum per bin shift s, each
+    cached H_s densified from its entries over all L bins."""
+    H0, entries = frame_diagnostics._frame_terms(fb)
+    terms = [(0, H0)]
+    for s, rows, values in entries:
+        H = np.zeros(fb.signal_length, dtype=np.complex128)
+        H[rows] = values
+        terms.append((s, H))
     X = np.fft.fft(x)
-    return np.fft.ifft(sum(H * np.roll(X, s) for s, H in terms.items()))
+    return np.fft.ifft(sum(H * np.roll(X, s) for s, H in terms))
 
 
 def response_pcg(fb, coefficients, tolerance=1e-10, max_iterations=None):

@@ -49,6 +49,28 @@ def rolled_walnut(fb, x):
     return np.fft.ifft(out)
 
 
+def assert_matches_roll_oracle(fb, x):
+    """walnut_apply equals the np.roll oracle bit for bit, signed zeros
+    included, and the cached terms are exactly the nonzero entries of the
+    dense term oracle, none zero and all read-only."""
+    fast, reference = audfb.walnut_apply(fb, x), oracle.roll_walnut_apply(fb, x)
+    assert np.array_equal(fast, reference)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(fast, part)), np.signbit(getattr(reference, part)))
+    H0, entries = frame_diagnostics._frame_terms(fb)
+    shifts = [s for s, *_ in entries]
+    assert shifts == sorted(set(shifts))
+    expected = oracle.walnut_terms(fb)
+    assert [s for s, rows, _ in entries if rows.size] == list(expected)
+    for s, rows, values in entries:
+        if rows.size:
+            assert np.array_equal(rows, np.flatnonzero(expected[s]))
+            assert np.array_equal(values, expected[s][rows])
+        assert np.all(values != 0.0)
+        assert not rows.flags.writeable and not values.flags.writeable
+    assert not H0.flags.writeable
+
+
 def small_painless_bank(L=512):
     return audfb.build_audlet(
         0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=L
@@ -461,7 +483,7 @@ class TestWalnutApply:
         assume(np.all(signal_length % (factor * fb.decimations) == 0))
         fb = scaled_decimations(fb, factor)
         x = np.random.default_rng(seed).standard_normal(signal_length)
-        assert np.array_equal(audfb.walnut_apply(fb, x), oracle.roll_walnut_apply(fb, x))
+        assert_matches_roll_oracle(fb, x)
 
     @given(
         L=st.sampled_from([16, 48, 64, 96]),
@@ -473,7 +495,18 @@ class TestWalnutApply:
         fb = random_full_bank(L, decimations, seed=seed)
         gen = np.random.default_rng(seed + 1)
         x = gen.standard_normal(L) + 1j * gen.standard_normal(L)
-        assert np.array_equal(audfb.walnut_apply(fb, x), oracle.roll_walnut_apply(fb, x))
+        assert_matches_roll_oracle(fb, x)
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_signed_zeros_match_roll_oracle(self, factor):
+        """Without a DC filter H0 vanishes at bin 0, where the spectrum of
+        -1 is -L: the product there is -0.0, and the sum from zero makes it
+        +0.0, which decides the sign of an output sample that is exactly zero."""
+        fb = audfb.build_audlet(
+            1000.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512,
+            dc_filter=False,
+        )
+        assert_matches_roll_oracle(scaled_decimations(fb, factor), -np.ones(512))
 
     def test_zero_in_zero_out(self, default_erb_bank):
         out = audfb.walnut_apply(default_erb_bank, np.zeros(16384))

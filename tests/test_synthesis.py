@@ -357,6 +357,16 @@ class TestNeumann:
         with pytest.raises(DomainError):
             synthesis.neumann_synthesize(fb, c, bounds=(0.5, 2.0), tolerance=tolerance)
 
+    @pytest.mark.parametrize("bounds", [(1e-3, np.inf), (2.0, 1.0), (1e-3, np.nan)])
+    def test_bounds_must_be_ordered_and_finite(self, rng, bounds):
+        """An infinite B made the relaxation 0 and returned the zero signal as
+        converged, B < A ran to ConvergenceError, and a NaN B raised from
+        walnut_apply about the samples."""
+        fb = audfb.build_audlet(0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512)
+        c = audfb.analyze(fb, rng.standard_normal(512))
+        with pytest.raises(DomainError, match="need A <= B < inf"):
+            synthesis.neumann_synthesize(fb, c, bounds=bounds)
+
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_iteration_budget_must_be_positive(self, rng, max_iterations):
         """An empty budget raised IndexError from the convergence message."""
