@@ -352,7 +352,7 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
     X = np.fft.fft(x)
     H0, entries = _frame_terms(fb)
     out = H0 * X + 0.0  # + 0.0 turns a -0.0 into 0.0, as a sum from zero does
-    for s, rows, values in entries:
+    for s, rows, values in entries:  # rows are distinct; add.at is the faster scatter-add
         np.add.at(out, rows, values * X.take(rows - s))  # rows - s wraps to (rows - s) mod L
     return np.fft.ifft(out)
 
