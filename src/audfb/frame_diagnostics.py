@@ -122,35 +122,36 @@ def _lcm_decimation(decimations) -> int:
     return math.lcm(*(int(d) for d in decimations))
 
 
-def _walnut_terms(left, right, L: int) -> tuple[np.ndarray, list]:
-    """Alias-domain terms of two channel systems: T_0 on all L bins, and one
-    (s, rows, T_s[rows]) per bin shift s >= 1, ascending, rows being where T_s
-    is nonzero. ``left`` and ``right`` are (start, values, d) covers of G_k and
-    H_k with equal decimations. Channel k adds G_k[j] * H_k[(j - s) mod L] / d_k
-    to T_s at the shifts s = i*L/d_k, only over the circular runs of bins where
-    the cover of G_k meets the cover of H_k shifted by s, so a shift s >= 1 is
-    listed where such runs exist, even with no nonzero entry. Each T_s is
-    summed densely and released once reduced to its entries."""
-    terms = {0: np.zeros(L, dtype=np.complex128)}
+def _walnut_terms(left, right, L: int, diagonal: bool = True) -> list:
+    """Alias-domain terms of two channel systems as (s, rows, T_s[rows]) by
+    ascending bin shift s: T_0 on all L bins if ``diagonal``, the others where
+    nonzero. ``left`` and ``right`` are (start, values, d) covers of G_k and
+    H_k with equal decimations. Channel k adds G_k[j]*H_k[(j - s) mod L]/d_k to
+    T_s at s = i*L/d_k over the circular runs where the cover of G_k meets that
+    of H_k shifted by s, so a shift s >= 1 is listed where runs exist, even
+    with no nonzero entry. The runs are summed shift by shift into one scratch
+    array, cleared at its rows: doubled ERB V=6 at 44.1 kHz peaks at 28 MiB."""
+    runs: dict[int, list] = {0: []}  # s -> views (start, G run, H run, d), channel order
     for (start_g, vg, _), (start_h, vh, d) in zip(left, right):
         ng, nh = vg.size, vh.size
         # where G's cover starts inside the shifted cover of H
         offsets = (start_g - start_h - (L // d) * np.arange(d)) % L
         for i in np.flatnonzero((offsets < nh) | (offsets > L - ng)).tolist():
-            e, s = int(offsets[i]), i * (L // d)
-            if s not in terms:
-                terms[s] = np.zeros(L, dtype=np.complex128)
+            e, found = int(offsets[i]), runs.setdefault(i * (L // d), [])
             if e < nh:
                 n = min(ng, nh - e)
-                _add_at(terms[s], start_g, vg[:n] * vh[e : e + n] / d)
+                found.append((start_g, vg[:n], vh[e : e + n], d))
             if L - e < ng:
                 n = min(ng - (L - e), nh)
-                _add_at(terms[s], (start_g + L - e) % L, vg[L - e : L - e + n] * vh[:n] / d)
-    entries = []
-    for s in sorted(terms)[1:]:
-        rows = np.flatnonzero(terms[s])
-        entries.append((s, rows, terms.pop(s)[rows]))
-    return terms[0], entries
+                found.append(((start_g + L - e) % L, vg[L - e : L - e + n], vh[:n], d))
+    scratch, entries = np.zeros(L, dtype=np.complex128), []
+    for s in sorted(runs)[0 if diagonal else 1 :]:
+        for start, g, h, d in runs[s]:
+            _add_at(scratch, start, g * h / d)
+        rows = np.flatnonzero(scratch) if s else np.arange(L)
+        entries.append((s, rows, scratch[rows]))
+        scratch[rows] = 0.0
+    return entries
 
 
 def _frame_terms(fb: FilterBank) -> tuple[np.ndarray, tuple]:
@@ -163,7 +164,7 @@ def _frame_terms(fb: FilterBank) -> tuple[np.ndarray, tuple]:
         if not painless_check(fb):
             covers = _expanded_covers(fb)
             adjoint = [(start, np.conj(values), d) for start, values, d in covers]
-            entries = _walnut_terms(adjoint, covers, fb.signal_length)[1]
+            entries = _walnut_terms(adjoint, covers, fb.signal_length, diagonal=False)
         H0 = frequency_response(fb)
         for array in (H0, *(a for _, rows, values in entries for a in (rows, values))):
             array.flags.writeable = False
@@ -382,7 +383,7 @@ def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:
         raise ShapeError("analysis and synthesis banks have different decimations")
 
     L = fb_ana.signal_length
-    T0, entries = _walnut_terms(_expanded_covers(fb_syn), _expanded_covers(fb_ana), L)
+    (*_, T0), *entries = _walnut_terms(_expanded_covers(fb_syn), _expanded_covers(fb_ana), L)
     rest = max((float(np.abs(values).max()) for *_, values in entries if values.size), default=0.0)
 
     # Best delay: minimize max_j |T0[j] e^(2*pi*i*j*l/L) - 1| over l. That

@@ -123,15 +123,17 @@ def cg_synthesize(
 ):
     """Reconstruct a signal from subband coefficients by conjugate gradients.
 
-    Solves S x = D c with S applied through :func:`walnut_apply` (never a
-    dense matrix). When the coefficients came from ``analyze(fb, x0)`` the
-    solution is x0 up to the tolerance. The preconditioned variant applies
-    the exact inverse of S to every residual: z = idft(dft(r) / H0) on a
-    painless bank, otherwise the inverses of the small connected blocks of S
-    in the DFT domain, factored once per bank (see
-    :mod:`audfb.frame_diagnostics`). That factorization is kept on the
-    bank and pays off when one bank is solved repeatedly. A bank whose
-    blocks are over the size budgets gets 1/H0 alone and is not checked
+    Solves S x = D c with S applied through :func:`walnut_apply` (never a dense
+    matrix). When the coefficients came from ``analyze(fb, x0)``, the relative
+    error is at most B/A times the relative residual: at B/A = 1.5e15 (Gauss,
+    r_bw 0.1, V=2, 8 kHz, ERB, L=4096) preconditioned CG stops after 1
+    iteration at a residual of 5.7e-16 and an error of 5.7e-3; the painless
+    dual gives 1.6e-10. The preconditioned variant applies the exact inverse of
+    S to every residual: z = idft(dft(r) / H0) on a painless bank, otherwise
+    the inverses of the small connected blocks of S in the DFT domain, factored
+    once per bank (see :mod:`audfb.frame_diagnostics`). That factorization is
+    kept on the bank and pays off when one bank is solved repeatedly. A bank
+    whose blocks are over the size budgets gets 1/H0 alone and is not checked
     for being a frame: CG may then return without error on a non-frame.
 
     Parameters
@@ -149,8 +151,8 @@ def cg_synthesize(
     Raises
     ------
     NotAFrameError
-        Preconditioning requested but the frequency response vanishes, or a
-        block of S within the budgets is not clearly positive definite.
+        The frequency response vanishes at some bin, or a block of S
+        within the budgets is not clearly positive definite.
     ConvergenceError
         Tolerance not reached within the iteration budget, or the operator
         is found to be numerically indefinite. Carries the residual history.
@@ -167,12 +169,10 @@ def cg_synthesize(
         x = np.zeros(L, dtype=np.complex128)
         return (x, trace) if return_trace else x
 
+    response = _frame_terms(fb)[0]
+    if float(response.min()) <= 0.0:
+        raise NotAFrameError("frequency response vanishes: not a frame")
     if config.preconditioned:
-        response = _frame_terms(fb)[0]
-        if float(response.min()) <= 0.0:
-            raise NotAFrameError(
-                "frequency response vanishes: cannot precondition (set preconditioned=False)"
-            )
         blocks = _component_inverse(fb)
 
         def apply_preconditioner(res: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import audfb
 import dense_oracle as oracle
-from audfb import container, filterbank
+from audfb import container, filterbank, frame_diagnostics
 from audfb.errors import UnsupportedConfigError
 
 RTOL = 1e-12
@@ -288,3 +288,22 @@ def test_long_signal_peak_memory():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert np.linalg.norm(y.real - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_term_build_peak_memory():
+    """The Walnut terms of the doubled ERB V=6 bank at 44.1 kHz, L=131072: 16
+    shifts with 239,874 entries in all, built below 32 MiB of traced
+    allocation (summing each shift in its own dense array took 52.5 MiB)."""
+    fb = audfb.build_audlet(
+        0.0, 22050.0, 6.0, audfb.ERB, sample_rate=44100.0, signal_length=131072
+    )
+    doubled = dataclasses.replace(fb, decimations=2 * fb.decimations)
+    tracemalloc.start()
+    try:
+        _, entries = frame_diagnostics._frame_terms(doubled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 16
+    assert sum(rows.size for _, rows, _ in entries) == 239874
+    assert peak <= 32 * 2**20
