@@ -2,6 +2,7 @@
 against its own tree is clean, and a one-ulp change to one output is
 reported by name."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ ROOT = Path(identity.__file__).resolve().parents[1]
 def test_run_against_own_tree_is_clean():
     done = subprocess.run(
         [sys.executable, identity.__file__, "--banks", ",".join(BANKS), "--against", str(ROOT)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         check=False,
