@@ -150,7 +150,7 @@ def _walnut_terms(left, right, L: int, diagonal: bool = True) -> list:
             _add_at(scratch, start, g * h / d)
         rows = np.flatnonzero(scratch) if s else np.arange(L)
         entries.append((s, rows, scratch[rows]))
-        scratch[rows] = 0.0
+        scratch[rows] = 0.0  # every other bin summed to zero
     return entries
 
 

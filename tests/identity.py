@@ -51,7 +51,9 @@ def _random(L, decimations, seed, one_sided):
     gen = np.random.default_rng(seed)
     shape = (len(decimations), L)
     filters = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return audfb.FilterBank(filters, decimations=decimations, sample_rate=float(L), one_sided=one_sided)
+    return audfb.FilterBank(
+        filters, decimations=decimations, sample_rate=float(L), one_sided=one_sided
+    )
 
 
 def _gabor(L, a, M, width):
@@ -92,7 +94,8 @@ def outputs(fb):
     L = fb.signal_length
     gen = np.random.default_rng(L)
     x = gen.standard_normal(L)
-    signals = {"real": x, "complex": x + 1j * gen.standard_normal(L), "zero": np.zeros(L), "negated": -x}
+    z = x + 1j * gen.standard_normal(L)
+    signals = {"real": x, "complex": z, "zero": np.zeros(L), "negated": -x}
     coefficients = audfb.analyze(fb, x)
     trace = L <= TRACE_MAX_LENGTH
     yield "terms", lambda: frame_diagnostics._frame_terms(fb)
@@ -159,7 +162,8 @@ def raw(value) -> bytes:
 
 
 def record(name: str, value) -> dict:
-    out = {"output": name, "sha256": hashlib.sha256(raw(value)).hexdigest(), "numpy": np.__version__}
+    digest = hashlib.sha256(raw(value)).hexdigest()
+    out = {"output": name, "sha256": digest, "numpy": np.__version__}
     if isinstance(value, BaseException):
         out["raises"] = type(value).__name__
     return out
