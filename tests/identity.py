@@ -46,11 +46,14 @@ def _audlet(rate, L, V, scale=audfb.ERB, prototype="hann", factor=1):
     return dataclasses.replace(fb, decimations=factor * fb.decimations)
 
 
-def _random(L, decimations, seed, one_sided):
-    """Full-support random complex filters: every alias term is live."""
+def _random(L, decimations, seed, one_sided, supports=None):
+    """Random complex filters, full-support (every alias term is live) unless
+    ``supports`` gives each row a circular interval (start, length) to keep."""
     gen = np.random.default_rng(seed)
     shape = (len(decimations), L)
     filters = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    for row, (start, length) in zip(filters, supports or ()):
+        row[np.roll(np.arange(L) >= length, start)] = 0.0
     return audfb.FilterBank(
         filters, decimations=decimations, sample_rate=float(L), one_sided=one_sided
     )
@@ -80,6 +83,11 @@ BANKS = {
     "erb_rect_1024_x4": lambda: _audlet(8000.0, 1024, 3.0, prototype="rect", factor=4),
     "random_full": lambda: _random(48, [1, 2, 3, 4, 6, 8, 12, 16], 1, one_sided=False),
     "random_one_sided": lambda: _random(48, [2, 3, 4, 6, 8, 12], 2, one_sided=True),
+    # partial covers of different lengths, two wrapping past bin L-1, one empty
+    "random_covers": lambda: _random(
+        48, [2, 3, 4, 6, 8, 12], 3, one_sided=False,
+        supports=[(40, 20), (10, 30), (30, 48), (44, 9), (5, 1), (0, 0)],
+    ),
     "gabor_painless": lambda: _gabor(64, 4, 8, 16),
     "gabor_nonpainless": lambda: _gabor(64, 4, 8, 32),
     # decimations with a factor 3, not powers of two
@@ -122,6 +130,8 @@ def outputs(fb):
     yield "pr_residual.adjoint", lambda: audfb.pr_residual(fb, audfb.adjoint_bank(fb))
     yield "pr_residual.dual", lambda: audfb.pr_residual(fb, audfb.painless_dual(fb))
     yield "alias_components", lambda: audfb.alias_components(fb)
+    if trace:
+        yield "equivalent_uniform", lambda: audfb.equivalent_uniform(fb)
 
 
 def evaluate(bank: str):
