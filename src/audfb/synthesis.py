@@ -49,8 +49,8 @@ class CGConfig:
         Relative residual threshold, ||r|| <= tolerance * ||b||; positive
         and finite.
     max_iterations : int or None
-        Iteration budget; None means the signal length L (the exact-arithmetic
-        worst case).
+        Iteration budget, an integer of at least 1; None means the signal
+        length L (the exact-arithmetic worst case).
     preconditioned : bool
         Precondition with the exact inverse of S, so CG converges at once:
         1/H0 on painless banks, the inverses of the connected blocks of S
@@ -63,10 +63,15 @@ class CGConfig:
     preconditioned: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive and finite")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
+        _check_stopping(self.tolerance, 1 if self.max_iterations is None else self.max_iterations)
+
+
+def _check_stopping(tolerance, max_iterations) -> None:
+    """DomainError unless tolerance > 0 is finite and max_iterations an int >= 1."""
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise DomainError("tolerance must be positive and finite")
+    if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1):
+        raise DomainError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
 
 
 @dataclass
@@ -248,7 +253,7 @@ def neumann_synthesize(
         ERB/rect bank at L=4096 with doubled decimations).
     tolerance, max_iterations, return_trace
         Stopping controls as above; tolerance is positive and finite and
-        max_iterations at least 1.
+        max_iterations an integer of at least 1.
 
     Raises
     ------
@@ -256,7 +261,7 @@ def neumann_synthesize(
         bounds.lower is not positive.
     DomainError
         bounds are not ordered and finite, tolerance is not positive and
-        finite, or max_iterations is below 1.
+        finite, or max_iterations is not an integer of at least 1.
     ConvergenceError
         Update still above tolerance at the iteration cap.
     """
@@ -265,10 +270,7 @@ def neumann_synthesize(
         raise NotAFrameError("lower frame bound is zero: frame algorithm undefined")
     if not lower <= upper < math.inf:
         raise DomainError(f"frame bounds need A <= B < inf, got ({lower}, {upper})")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise DomainError("tolerance must be positive and finite")
-    if max_iterations < 1:
-        raise DomainError("max_iterations must be at least 1")
+    _check_stopping(tolerance, max_iterations)
     relax = 2.0 / (lower + upper)
 
     b = _rhs(fb, coefficients)

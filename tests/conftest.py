@@ -53,18 +53,26 @@ def random_full_bank(
     decimations,
     seed: int,
     scale: float = 1.0,
+    covers: bool = False,
 ) -> audfb.FilterBank:
     """Full-layout bank with dense random complex transfer functions.
 
     Deliberately not painless: every filter has full support, so alias terms
     are live and the Walnut and composition routes must agree through the
-    generic code path.
+    generic code path. With ``covers`` each row keeps only a random circular
+    interval of bins instead, of length 0, 1, L or random, at a random
+    start, so covers are partial, differ in length and wrap past bin
+    L-1; the filters drawn first are the same as without.
     """
     gen = np.random.default_rng(seed)
     decs = np.asarray(decimations, dtype=np.int64)
     filters = scale * (
         gen.standard_normal((decs.size, L)) + 1j * gen.standard_normal((decs.size, L))
     )
+    if covers:
+        for row in filters:
+            length = (0, 1, L, int(gen.integers(2, L)))[gen.integers(4)]
+            row[np.roll(np.arange(L) >= length, int(gen.integers(L)))] = 0.0
     return audfb.FilterBank(
         filters=filters,
         decimations=decs,

@@ -489,10 +489,11 @@ class TestWalnutApply:
         L=st.sampled_from([16, 48, 64, 96]),
         decimations=st.lists(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
+        covers=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_full_banks_match_roll_oracle(self, L, decimations, seed):
-        fb = random_full_bank(L, decimations, seed=seed)
+    def test_random_full_banks_match_roll_oracle(self, L, decimations, seed, covers):
+        fb = random_full_bank(L, decimations, seed=seed, covers=covers)
         gen = np.random.default_rng(seed + 1)
         x = gen.standard_normal(L) + 1j * gen.standard_normal(L)
         assert_matches_roll_oracle(fb, x)
@@ -711,11 +712,14 @@ class TestPRResidual:
         decimations=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4),
         scale=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        covers=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_pairs_match_exhaustive_oracle(self, L, decimations, scale, seed):
-        fb_ana = random_full_bank(L, decimations, seed=seed)
-        fb_syn = random_full_bank(L, decimations, seed=seed + 1, scale=scale)
+    def test_random_pairs_match_exhaustive_oracle(self, L, decimations, scale, seed, covers):
+        """With ``covers`` the two sides draw their partial covers apart, so
+        G_k and H_k meet in runs of different lengths."""
+        fb_ana = random_full_bank(L, decimations, seed=seed, covers=covers)
+        fb_syn = random_full_bank(L, decimations, seed=seed + 1, scale=scale, covers=covers)
         delay, deviation, devs = oracle.pr_residual(fb_ana, fb_syn)
         result = audfb.pr_residual(fb_ana, fb_syn)
         assert abs(result.max_deviation - deviation) <= 1e-12 * max(1.0, deviation)

@@ -176,8 +176,9 @@ class TestCG:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             synthesis.CGConfig(tolerance=0.0)
-        with pytest.raises(DomainError):
-            synthesis.CGConfig(max_iterations=0)
+        for max_iterations in (0, 1.5, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                synthesis.CGConfig(max_iterations=max_iterations)
 
     @pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):
@@ -371,9 +372,10 @@ class TestNeumann:
         with pytest.raises(DomainError, match="need A <= B < inf"):
             synthesis.neumann_synthesize(fb, c, bounds=bounds)
 
-    @pytest.mark.parametrize("max_iterations", [0, -3])
+    @pytest.mark.parametrize("max_iterations", [0, -3, 1.5, np.nan, np.inf])
     def test_iteration_budget_must_be_positive(self, rng, max_iterations):
-        """An empty budget raised IndexError from the convergence message."""
+        """An empty budget raised IndexError from the convergence message, and
+        a budget that is not an integer TypeError after the right-hand side."""
         fb = audfb.build_audlet(0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512)
         c = audfb.analyze(fb, rng.standard_normal(512))
         with pytest.raises(DomainError):
