@@ -59,10 +59,10 @@ def random_full_bank(
 
     Deliberately not painless: every filter has full support, so alias terms
     are live and the Walnut and composition routes must agree through the
-    generic code path. With ``covers`` each row keeps only a random circular
-    interval of bins instead, of length 0, 1, L or random, at a random
-    start, so covers are partial, differ in length and wrap past bin
-    L-1; the filters drawn first are the same as without.
+    generic code path. With ``covers`` each row instead keeps one random
+    circular interval of bins, of length 0, 1, L or random at a random
+    start, so covers are partial, differ in length and wrap past bin L-1;
+    the values drawn before are the same as without.
     """
     gen = np.random.default_rng(seed)
     decs = np.asarray(decimations, dtype=np.int64)
