@@ -16,7 +16,7 @@ irrelevance
     WAV in, masked reconstruction out; prints the removed fraction.
 
 Exit codes: 0 success; 2 diagnose found no frame; 64 usage error; 65 bad
-input data (WAV or container, including NaN or infinite WAV samples); 70
+input data (WAV or container, including NaN or infinite values in either); 70
 reconstruction failed (when a solver did not converge, its residual trace
 goes to standard error); 74 file I/O error. :func:`main` alone maps library
 and I/O exceptions to these codes.

@@ -153,6 +153,9 @@ def _read(path, kind: str):
     counts = [L // d for *_, d in channel_rows]
     if len(payload) != dtype.itemsize * sum(counts):
         raise ContainerError(f"payload holds {len(payload)} bytes, expected {dtype.itemsize * sum(counts)}")
+    values = np.frombuffer(payload, dtype=dtype)
+    if not np.all(np.isfinite(values)):
+        raise ContainerError("payload holds non-finite values")
 
     shape = dict(
         f_min=_parse(fields, "f_min", float),
@@ -188,7 +191,6 @@ def _read(path, kind: str):
     if not np.array_equal(fb.decimations, [d for *_, d in channel_rows]):
         raise ContainerError("recorded downsampling factors do not match the rebuilt bank")
 
-    values = np.frombuffer(payload, dtype=dtype)
     chunks = [chunk.astype(dtype.type) for chunk in np.split(values, np.cumsum(counts)[:-1])]
     return fb, chunks, trim_length, fields
 

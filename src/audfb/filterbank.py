@@ -268,12 +268,17 @@ def _mirrored(fb: FilterBank) -> range:
     return range(1, fb.n_channels - 1) if fb.one_sided else range(0)
 
 
-def _expanded_covers(fb: FilterBank) -> list[tuple[int, np.ndarray, int]]:
-    """(start, values, d) of every channel of the full system: the stored
-    channels, then the mirror of every channel in :func:`_mirrored`."""
-    out = [(start, values, int(d)) for (start, values), d in zip(fb._covers, fb.decimations)]
-    L, mirrored = fb.signal_length, [out[k] for k in _mirrored(fb)]
-    return out + [(*_mirror(start, values, L), d) for start, values, d in mirrored]
+def _expanded_covers(fb: FilterBank) -> tuple[tuple[int, np.ndarray, int], ...]:
+    """(start, values, d) of every channel of the full system, kept read-only on
+    the bank: the stored channels, then the mirror of every channel in :func:`_mirrored`."""
+    if "expanded_covers" not in fb._derived:
+        out = [(start, values, int(d)) for (start, values), d in zip(fb._covers, fb.decimations)]
+        L, mirrored = fb.signal_length, [out[k] for k in _mirrored(fb)]
+        out += [(*_mirror(start, values, L), d) for start, values, d in mirrored]
+        for _, values, _ in out:
+            values.flags.writeable = False
+        fb._derived["expanded_covers"] = tuple(out)
+    return fb._derived["expanded_covers"]
 
 
 def _fold(values: np.ndarray, start: int, N: int) -> np.ndarray:
@@ -558,6 +563,11 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
     u_k + conj(u_k). That completion reconstructs real signals exactly and is
     linear over real scalars (full-layout banks are complex-linear).
     """
+    return np.fft.ifft(_synthesis_spectrum(fb, coefficients))
+
+
+def _synthesis_spectrum(fb: FilterBank, coefficients) -> np.ndarray:
+    """The spectrum of :func:`synthesize`'s signal, before the inverse DFT."""
     coefficients = _check_coefficients(fb, coefficients)
     L = fb.signal_length
     total = np.zeros(L, dtype=np.complex128)
@@ -567,7 +577,7 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
         _add_at(total, start, term)
         if k in mirrored:
             _add_at(total, *_mirror(start, term, L))
-    return np.fft.ifft(total)
+    return total
 
 
 def adjoint_bank(fb: FilterBank) -> FilterBank:

@@ -346,12 +346,16 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
     L = fb.signal_length
     if x.shape[0] != L:
         raise ShapeError(f"signal length {x.shape[0]} does not match bank length {L}")
-    X = np.fft.fft(x)
+    return np.fft.ifft(_walnut_spectrum(fb, np.fft.fft(x)))
+
+
+def _walnut_spectrum(fb: FilterBank, X: np.ndarray) -> np.ndarray:
+    """The Walnut sum of :func:`walnut_apply` on a spectrum X: the DFT of S x."""
     H0, entries = _frame_terms(fb)
     out = H0 * X + 0.0  # + 0.0 turns a -0.0 into 0.0, as a sum from zero does
     for s, rows, values in entries:  # rows are distinct; add.at is the faster scatter-add
         np.add.at(out, rows, values * X.take(rows - s))  # rows - s wraps to (rows - s) mod L
-    return np.fft.ifft(out)
+    return out
 
 
 def pr_residual(fb_ana: FilterBank, fb_syn: FilterBank) -> PRResidual:

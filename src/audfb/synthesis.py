@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotAFrameError, UnsupportedConfigError
-from .filterbank import FilterBank, _take, adjoint_bank, synthesize
-from .frame_diagnostics import _component_inverse, _frame_terms
-from .frame_diagnostics import frequency_response, painless_check, walnut_apply
+from .filterbank import FilterBank, _synthesis_spectrum, _take, adjoint_bank
+from .frame_diagnostics import _component_inverse, _frame_terms, _walnut_spectrum
+from .frame_diagnostics import frequency_response, painless_check
 
 __all__ = [
     "CGConfig",
@@ -37,6 +37,8 @@ __all__ = [
     "cg_synthesize",
     "neumann_synthesize",
 ]
+
+_TRACE_MAX_BYTES = 2**26  # of the iterates one traced solve keeps: 1024 at L=4096
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,18 @@ class IterationTrace:
 
     ``residuals`` holds the stopping quantity per iteration (relative
     residual for CG, relative update norm for the Neumann iteration);
-    ``iterates`` the successive solution estimates.
+    ``iterates`` the successive solution estimates, at most 64 MiB of them: a
+    solve raises UnsupportedConfigError before it would keep more.
     """
 
     residuals: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
+
+    def _keep(self, X: np.ndarray) -> None:
+        """Append idft(X) to ``iterates`` unless that passes _TRACE_MAX_BYTES."""
+        if (len(self.iterates) + 1) * X.nbytes > _TRACE_MAX_BYTES:
+            raise UnsupportedConfigError(f"iterate trace over {_TRACE_MAX_BYTES} bytes")
+        self.iterates.append(np.fft.ifft(X))
 
 
 def painless_dual(fb: FilterBank) -> FilterBank:
@@ -115,8 +124,12 @@ def painless_dual(fb: FilterBank) -> FilterBank:
 
 
 def _rhs(fb: FilterBank, coefficients) -> np.ndarray:
-    """D c: the coefficients pushed back through the adjoint of analysis."""
-    return synthesize(adjoint_bank(fb), coefficients)
+    """Spectrum of D c, c pushed back through the adjoint of analysis; DomainError unless finite."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite D c fails the test below
+        B = _synthesis_spectrum(adjoint_bank(fb), coefficients)
+    if not np.all(np.isfinite(B)):
+        raise DomainError("coefficients must be finite")
+    return B
 
 
 def cg_synthesize(
@@ -128,18 +141,18 @@ def cg_synthesize(
 ):
     """Reconstruct a signal from subband coefficients by conjugate gradients.
 
-    Solves S x = D c with S applied through :func:`walnut_apply` (never a dense
-    matrix). When the coefficients came from ``analyze(fb, x0)``, the relative
-    error is at most B/A times the relative residual: at B/A = 1.5e15 (Gauss,
-    r_bw 0.1, V=2, 8 kHz, ERB, L=4096) preconditioned CG stops after 1
-    iteration at a residual of 5.7e-16 and an error of 5.7e-3; the painless
-    dual gives 1.6e-10. The preconditioned variant applies the exact inverse of
-    S to every residual: z = idft(dft(r) / H0) on a painless bank, otherwise
-    the inverses of the small connected blocks of S in the DFT domain, factored
-    once per bank (see :mod:`audfb.frame_diagnostics`). That factorization is
-    kept on the bank and pays off when one bank is solved repeatedly. A bank
-    whose blocks are over the size budgets gets 1/H0 alone and is not checked
-    for being a frame: CG may then return without error on a non-frame.
+    Solves S x = D c on DFT spectra, with S the Walnut sum of :func:`walnut_apply`
+    and no transform per iteration, then transforms back once. When the coefficients
+    came from ``analyze(fb, x0)``, the relative error is at most B/A times the
+    relative residual: at B/A = 1.5e15 (Gauss, r_bw 0.1, V=2, 8 kHz, ERB, L=4096)
+    preconditioned CG stops after 1 iteration at a residual of 5.7e-16 and an error
+    of 5.7e-3; the painless dual gives 1.6e-10. The preconditioned variant applies
+    the exact inverse of S to every residual spectrum R: Z = R / H0 on a painless
+    bank, otherwise the inverses of the small connected blocks of S in the DFT
+    domain, factored once per bank (see :mod:`audfb.frame_diagnostics`). That
+    factorization is kept on the bank and pays off when one bank is solved
+    repeatedly. A bank whose blocks are over the size budgets gets 1/H0 alone and is
+    not checked for being a frame: CG may then return without error on a non-frame.
 
     Parameters
     ----------
@@ -155,6 +168,8 @@ def cg_synthesize(
 
     Raises
     ------
+    DomainError
+        A coefficient is not finite, found before the first iteration.
     NotAFrameError
         The frequency response vanishes at some bin, or a block of S
         within the budgets is not clearly positive definite.
@@ -167,8 +182,8 @@ def cg_synthesize(
     L = fb.signal_length
     max_iterations = L if config.max_iterations is None else config.max_iterations
 
-    b = _rhs(fb, coefficients)
-    b_norm = float(np.linalg.norm(b))
+    B = _rhs(fb, coefficients)
+    b_norm = float(np.linalg.norm(B))
     trace = IterationTrace()
     if b_norm == 0.0:
         x = np.zeros(L, dtype=np.complex128)
@@ -177,47 +192,41 @@ def cg_synthesize(
     response = _frame_terms(fb)[0]
     if float(response.min()) <= 0.0:
         raise NotAFrameError("frequency response vanishes: not a frame")
-    if config.preconditioned:
-        blocks = _component_inverse(fb)
+    blocks = _component_inverse(fb) if config.preconditioned else ()
 
-        def apply_preconditioner(res: np.ndarray) -> np.ndarray:
-            X = np.fft.fft(res)
-            if not blocks:
-                return np.fft.ifft(X / response)
-            for bins, inverse in blocks:
-                X[bins] = (inverse @ X[bins][..., None])[..., 0]
-            return np.fft.ifft(X)
+    def apply_preconditioner(R: np.ndarray) -> np.ndarray:
+        if not blocks:
+            return R / response if config.preconditioned else R
+        Z = R.copy()
+        for bins, inverse in blocks:
+            Z[bins] = (inverse @ Z[bins][..., None])[..., 0]
+        return Z
 
-    else:
-
-        def apply_preconditioner(res: np.ndarray) -> np.ndarray:
-            return res
-
-    x = np.zeros(L, dtype=np.complex128)
-    r = b.copy()
-    z = apply_preconditioner(r)
-    p = z.copy()
-    rz = np.vdot(r, z)
+    # spectra of the iterate, residual, search direction and preconditioned residual
+    X, R = np.zeros(L, dtype=np.complex128), B
+    Z = apply_preconditioner(R)
+    P = Z.copy()
+    rz = np.vdot(R, Z)
     for _ in range(max_iterations):
-        q = walnut_apply(fb, p)
-        pq = np.vdot(p, q)
+        Q = _walnut_spectrum(fb, P)
+        pq = np.vdot(P, Q)
         if not pq.real > 0.0:
             raise ConvergenceError(
                 "conjugate gradients broke down: operator not positive definite",
                 residuals=trace.residuals,
             )
         alpha = rz / pq
-        x = x + alpha * p
-        r = r - alpha * q
-        relative = float(np.linalg.norm(r)) / b_norm
+        X = X + alpha * P
+        R = R - alpha * Q
+        relative = float(np.linalg.norm(R)) / b_norm
         trace.residuals.append(relative)
         if return_trace:
-            trace.iterates.append(x.copy())
+            trace._keep(X)
         if relative <= config.tolerance:
-            return (x, trace) if return_trace else x
-        z = apply_preconditioner(r)
-        rz_next = np.vdot(r, z)
-        p = z + (rz_next / rz) * p
+            return (np.fft.ifft(X), trace) if return_trace else np.fft.ifft(X)
+        Z = apply_preconditioner(R)
+        rz_next = np.vdot(R, Z)
+        P = Z + (rz_next / rz) * P
         rz = rz_next
     raise ConvergenceError(
         f"conjugate gradients: residual {trace.residuals[-1]:.3e} above tolerance "
@@ -261,7 +270,8 @@ def neumann_synthesize(
         bounds.lower is not positive.
     DomainError
         bounds are not ordered and finite, tolerance is not positive and
-        finite, or max_iterations is not an integer of at least 1.
+        finite, max_iterations is not an integer of at least 1, or a
+        coefficient is not finite.
     ConvergenceError
         Update still above tolerance at the iteration cap.
     """
@@ -273,21 +283,20 @@ def neumann_synthesize(
     _check_stopping(tolerance, max_iterations)
     relax = 2.0 / (lower + upper)
 
-    b = _rhs(fb, coefficients)
-    L = fb.signal_length
-    x = np.zeros(L, dtype=np.complex128)
+    B = _rhs(fb, coefficients)
+    X = np.zeros(fb.signal_length, dtype=np.complex128)  # spectrum of the iterate
     trace = IterationTrace()
     for _ in range(max_iterations):
-        delta = relax * (b - walnut_apply(fb, x))
-        x = x + delta
+        delta = relax * (B - _walnut_spectrum(fb, X))
+        X = X + delta
         update = float(np.linalg.norm(delta))
-        scale = float(np.linalg.norm(x))
+        scale = float(np.linalg.norm(X))
         relative = update / scale if scale > 0.0 else (0.0 if update == 0.0 else np.inf)
         trace.residuals.append(relative)
         if return_trace:
-            trace.iterates.append(x.copy())
+            trace._keep(X)
         if relative <= tolerance:
-            return (x, trace) if return_trace else x
+            return (np.fft.ifft(X), trace) if return_trace else np.fft.ifft(X)
     raise ConvergenceError(
         f"frame algorithm: relative update {trace.residuals[-1]:.3e} above tolerance "
         f"{tolerance:.3e} after {max_iterations} iterations",

@@ -283,38 +283,41 @@ def pr_residual(fb_ana, fb_syn):
 
 # The solver oracles below run the simple code paths (one np.roll per term,
 # the 1/H0 preconditioner) on the library's own cached Walnut terms and
-# right-hand side, so the fast paths can be held to bit-for-bit equality.
+# right-hand side spectrum, so the fast paths can be held to bit-for-bit
+# equality. The time_* oracles run the same iterations on signals, with two
+# transforms per application of S.
 
 
-def roll_walnut_apply(fb, x):
-    """Walnut sum with one np.roll copy of the spectrum per bin shift s, each
-    cached H_s densified from its entries over all L bins."""
+def roll_walnut_spectrum(fb, X):
+    """Walnut sum on a spectrum with one np.roll copy of it per bin shift s,
+    each cached H_s densified from its entries over all L bins."""
     H0, entries = frame_diagnostics._frame_terms(fb)
     terms = [(0, H0)]
     for s, rows, values in entries:
         H = np.zeros(fb.signal_length, dtype=np.complex128)
         H[rows] = values
         terms.append((s, H))
-    X = np.fft.fft(x)
-    return np.fft.ifft(sum(H * np.roll(X, s) for s, H in terms))
+    return sum(H * np.roll(X, s) for s, H in terms)
 
 
-def response_pcg(fb, coefficients, tolerance=1e-10, max_iterations=None):
-    """Conjugate gradients preconditioned by 1/H0, with roll_walnut_apply.
-    Returns (x, residuals), or raises ConvergenceError like the library."""
-    L = fb.signal_length
-    max_iterations = L if max_iterations is None else max_iterations
-    b = synthesis._rhs(fb, coefficients)
+def roll_walnut_apply(fb, x):
+    """S x through :func:`roll_walnut_spectrum` between two transforms."""
+    return np.fft.ifft(roll_walnut_spectrum(fb, np.fft.fft(x)))
+
+
+def _pcg(b, apply_s, precondition, max_iterations):
+    """Conjugate gradients from b through apply_s and precondition, stopped
+    at a relative residual of 1e-10. Returns (x, residuals), or raises
+    ConvergenceError like the library."""
     b_norm = float(np.linalg.norm(b))
-    response = filterbank.frequency_response(fb)
     residuals = []
-    x = np.zeros(L, dtype=np.complex128)
+    x = np.zeros(b.shape[0], dtype=np.complex128)
     r = b.copy()
-    z = np.fft.ifft(np.fft.fft(r) / response)
+    z = precondition(r)
     p = z.copy()
     rz = np.vdot(r, z)
     for _ in range(max_iterations):
-        q = roll_walnut_apply(fb, p)
+        q = apply_s(p)
         pq = np.vdot(p, q)
         if not pq.real > 0.0:
             raise ConvergenceError("not positive definite", residuals=residuals)
@@ -322,26 +325,63 @@ def response_pcg(fb, coefficients, tolerance=1e-10, max_iterations=None):
         x = x + alpha * p
         r = r - alpha * q
         residuals.append(float(np.linalg.norm(r)) / b_norm)
-        if residuals[-1] <= tolerance:
+        if residuals[-1] <= 1e-10:
             return x, residuals
-        z = np.fft.ifft(np.fft.fft(r) / response)
+        z = precondition(r)
         rz_next = np.vdot(r, z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise ConvergenceError("above tolerance", residuals=residuals)
 
 
-def frame_algorithm(fb, coefficients, bounds, tolerance=1e-10):
-    """Neumann iteration x + 2/(A+B) (D c - S x) with roll_walnut_apply,
-    stopped on the relative update; returns (x, residuals)."""
+def response_pcg(fb, coefficients, max_iterations=None):
+    """CG preconditioned by 1/H0 on spectra, with roll_walnut_spectrum and
+    one inverse DFT of the solution."""
+    response = filterbank.frequency_response(fb)
+    x, residuals = _pcg(
+        synthesis._rhs(fb, coefficients),
+        lambda p: roll_walnut_spectrum(fb, p),
+        lambda r: r / response,
+        fb.signal_length if max_iterations is None else max_iterations,
+    )
+    return np.fft.ifft(x), residuals
+
+
+def time_response_pcg(fb, coefficients, max_iterations=None):
+    """The same CG on signals: roll_walnut_apply, and the preconditioner
+    between two transforms."""
+    response = filterbank.frequency_response(fb)
+    return _pcg(
+        np.fft.ifft(synthesis._rhs(fb, coefficients)),
+        lambda p: roll_walnut_apply(fb, p),
+        lambda r: np.fft.ifft(np.fft.fft(r) / response),
+        fb.signal_length if max_iterations is None else max_iterations,
+    )
+
+
+def _frame_algorithm(b, apply_s, bounds, tolerance):
     relax = 2.0 / (bounds[0] + bounds[1])
-    b = synthesis._rhs(fb, coefficients)
-    x = np.zeros(fb.signal_length, dtype=np.complex128)
+    x = np.zeros(b.shape[0], dtype=np.complex128)
     residuals = []
     for _ in range(10000):
-        delta = relax * (b - roll_walnut_apply(fb, x))
+        delta = relax * (b - apply_s(x))
         x = x + delta
         residuals.append(float(np.linalg.norm(delta)) / float(np.linalg.norm(x)))
         if residuals[-1] <= tolerance:
             break
     return x, residuals
+
+
+def frame_algorithm(fb, coefficients, bounds, tolerance=1e-10):
+    """Neumann iteration x + 2/(A+B) (D c - S x) on spectra with
+    roll_walnut_spectrum, stopped on the relative update; returns
+    (x, residuals) with one inverse DFT of the solution."""
+    b = synthesis._rhs(fb, coefficients)
+    x, residuals = _frame_algorithm(b, lambda x: roll_walnut_spectrum(fb, x), bounds, tolerance)
+    return np.fft.ifft(x), residuals
+
+
+def time_frame_algorithm(fb, coefficients, bounds, tolerance=1e-10):
+    """The same Neumann iteration on signals, with roll_walnut_apply."""
+    b = np.fft.ifft(synthesis._rhs(fb, coefficients))
+    return _frame_algorithm(b, lambda x: roll_walnut_apply(fb, x), bounds, tolerance)

@@ -225,6 +225,22 @@ class TestExitCodes:
         code = cli.main(["synthesize", str(bad), str(tmp_path / "o.wav")])
         assert code == 65
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["dual", "cg", "neumann"])
+    def test_non_finite_coefficients_are_data_error(self, tmp_path, capsys, method, bad):
+        """The dual wrote a WAV of NaN samples, and CG and Neumann exited 70."""
+        wav = tmp_path / "in.wav"
+        make_wav(wav, seconds=0.5)
+        coeffs = tmp_path / "c.afc"
+        assert cli.main(["analyze", str(wav), str(coeffs)]) == 0
+        fb, coefficients, trim = container.read_coefficients(coeffs)
+        coefficients[3][0] = bad
+        container.write_coefficients(coeffs, fb, coefficients, trim)
+        out = tmp_path / "o.wav"
+        assert cli.main(["synthesize", str(coeffs), str(out), "--method", method]) == 65
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_wav_input_is_data_error(self, tmp_path, capsys):
         fake = tmp_path / "fake.wav"
         fake.write_text("just text")

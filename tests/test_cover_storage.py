@@ -261,6 +261,19 @@ class TestStorage:
         assert "filters" not in doubled._derived
         assert np.array_equal(doubled.filters, fb.filters)
 
+    def test_expanded_covers_are_kept_read_only(self):
+        """The full channel system is expanded once per bank, as the dense
+        oracle expands it, and a bank made by replace expands its own."""
+        fb = audfb.build_audlet(0.0, 1000.0, 3.0, audfb.ERB, sample_rate=2000.0, signal_length=256)
+        covers = filterbank._expanded_covers(fb)
+        assert filterbank._expanded_covers(fb) is covers
+        assert not any(values.flags.writeable for _, values, _ in covers)
+        filters, decimations = oracle.expanded(fb)
+        assert np.array_equal(filterbank._dense(256, covers), filters)
+        assert [d for *_, d in covers] == decimations.tolist()
+        doubled = dataclasses.replace(fb, decimations=2 * fb.decimations)
+        assert [d for *_, d in filterbank._expanded_covers(doubled)] == (2 * decimations).tolist()
+
     def test_replace_filters_gives_those_filters(self):
         fb = audfb.build_audlet(0.0, 1000.0, 3.0, audfb.ERB, sample_rate=2000.0, signal_length=256)
         dual = audfb.painless_dual(fb)

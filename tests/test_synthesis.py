@@ -215,6 +215,15 @@ def outcome(solve):
     return x, list(residuals)
 
 
+def assert_near_time_oracle(solved, reference):
+    """A solve on spectra against the same iteration on signals: both converge
+    or neither, within one iteration of each other and 1e-9 relative."""
+    (x, residuals), (x_ref, residuals_ref) = solved, reference
+    assert abs(len(residuals) - len(residuals_ref)) <= 1
+    assert (x is None) == (x_ref is None)
+    assert x is None or np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
+
 class TestComponentPreconditioner:
     """CG preconditioned by S^-1 from the operator's connected blocks, and
     its fallback to 1/H0, checked against the oracle's 1/H0 loop."""
@@ -244,6 +253,7 @@ class TestComponentPreconditioner:
         x_ref, residuals = oracle.response_pcg(fb, c)
         assert np.array_equal(x, x_ref)
         assert trace.residuals == residuals
+        assert_near_time_oracle((x, trace.residuals), oracle.time_response_pcg(fb, c))
 
     @staticmethod
     def assert_replays_response_oracle(fb, rng):
@@ -261,6 +271,7 @@ class TestComponentPreconditioner:
         assert residuals == residuals_ref
         assert (x is None) == (x_ref is None)
         assert x is None or np.array_equal(x, x_ref)
+        assert_near_time_oracle((x, residuals), outcome(lambda: oracle.time_response_pcg(fb, c)))
 
     def test_non_frame_over_budget_falls_back(self, rng):
         """Quadrupled ERB/rect at L=1024: one component of all 1024 bins."""
@@ -341,6 +352,9 @@ class TestNeumann:
         x_ref, residuals = oracle.frame_algorithm(fb, c, bounds)
         assert np.array_equal(x, x_ref)
         assert trace.residuals == residuals
+        assert_near_time_oracle(
+            (x, trace.residuals), oracle.time_frame_algorithm(fb, c, bounds)
+        )
 
     def test_zero_lower_bound_rejected(self, rng):
         fb = gap_bank()
@@ -380,3 +394,75 @@ class TestNeumann:
         c = audfb.analyze(fb, rng.standard_normal(512))
         with pytest.raises(DomainError):
             synthesis.neumann_synthesize(fb, c, bounds=(0.5, 2.0), max_iterations=max_iterations)
+
+
+def solve(solver, fb, c, tolerance=1e-10, max_iterations=None, return_trace=False):
+    """Unpreconditioned CG, or the frame algorithm with the estimated bounds."""
+    if solver == "cg":
+        config = synthesis.CGConfig(tolerance, max_iterations, preconditioned=False)
+        return synthesis.cg_synthesize(fb, c, config, return_trace=return_trace)
+    bounds = audfb.estimate_bounds(fb).bounds
+    return synthesis.neumann_synthesize(
+        fb, c, bounds, tolerance, max_iterations or 10000, return_trace=return_trace
+    )
+
+
+@pytest.mark.parametrize("solver", ["cg", "neumann"])
+class TestSpectralIteration:
+    """Both solvers iterate on spectra: transforms at the ends of a solve
+    only, inputs checked before the first iteration, a bounded trace."""
+
+    @pytest.mark.parametrize("painless", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_raises_before_iterating(
+        self, rng, monkeypatch, solver, painless, bad
+    ):
+        """One NaN coefficient ran the frame algorithm to its 10 000 iteration
+        cap, and CG into "operator not positive definite"."""
+        fb = audlet(1024) if painless else scaled_decimations(audlet(1024), 2)
+        c = audfb.analyze(fb, rng.standard_normal(1024))
+        c[3][0] = bad
+        applied = []
+        monkeypatch.setattr(synthesis, "_walnut_spectrum", lambda *args: applied.append(args))
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            solve(solver, fb, c)
+        assert applied == []
+
+    def test_transforms_do_not_grow_with_iterations(self, rng, monkeypatch, solver):
+        """Twenty iterations take no more FFTs than one."""
+        fb = scaled_decimations(audlet(1024), 2)
+        c = audfb.analyze(fb, rng.standard_normal(1024))
+        counts = []
+        for budget in (1, 20):
+            calls = []
+            for name in ("fft", "ifft"):
+                transform = getattr(np.fft, name)
+                counted = lambda *a, t=transform, **k: calls.append(t) or t(*a, **k)  # noqa: E731
+                monkeypatch.setattr(np.fft, name, counted)
+            with pytest.raises(ConvergenceError) as info:
+                solve(solver, fb, c, tolerance=1e-300, max_iterations=budget)
+            monkeypatch.undo()
+            assert len(info.value.residuals) == budget
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
+
+    def test_trace_ceiling_raises_before_passing_it(self, rng, monkeypatch, small_erb_bank, solver):
+        """With room for four and a half iterates the trace keeps four, and the
+        solve raises before it transforms a fifth. Untraced, CG converges
+        here in 18 iterations and the frame algorithm in 30."""
+        fb = small_erb_bank
+        c = audfb.analyze(fb, rng.standard_normal(4096))
+        solve(solver, fb, c)  # also caches the bank's terms
+        monkeypatch.setattr(synthesis, "_TRACE_MAX_BYTES", 9 * 4096 * 16 // 2)
+        traces, transformed = [], []
+
+        class Kept(synthesis.IterationTrace):
+            def __init__(self):
+                super().__init__()
+                traces.append(self)
+
+        monkeypatch.setattr(synthesis, "IterationTrace", Kept)
+        monkeypatch.setattr(np.fft, "ifft", lambda X, t=np.fft.ifft: transformed.append(X) or t(X))
+        with pytest.raises(UnsupportedConfigError, match="iterate trace"):
+            solve(solver, fb, c, return_trace=True)
+        assert len(traces) == 1 and len(traces[0].iterates) == len(transformed) == 4
