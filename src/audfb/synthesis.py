@@ -141,18 +141,18 @@ def cg_synthesize(
 ):
     """Reconstruct a signal from subband coefficients by conjugate gradients.
 
-    Solves S x = D c on DFT spectra, with S the Walnut sum of :func:`walnut_apply`
-    and no transform per iteration, then transforms back once. When the coefficients
-    came from ``analyze(fb, x0)``, the relative error is at most B/A times the
-    relative residual: at B/A = 1.5e15 (Gauss, r_bw 0.1, V=2, 8 kHz, ERB, L=4096)
-    preconditioned CG stops after 1 iteration at a residual of 5.7e-16 and an error
-    of 5.7e-3; the painless dual gives 1.6e-10. The preconditioned variant applies
-    the exact inverse of S to every residual spectrum R: Z = R / H0 on a painless
-    bank, otherwise the inverses of the small connected blocks of S in the DFT
-    domain, factored once per bank (see :mod:`audfb.frame_diagnostics`). That
-    factorization is kept on the bank and pays off when one bank is solved
-    repeatedly. A bank whose blocks are over the size budgets gets 1/H0 alone and is
-    not checked for being a frame: CG may then return without error on a non-frame.
+    Solves S x = D c on spectra with the Walnut sum of :func:`walnut_apply` (no
+    transform). When the coefficients came from ``analyze(fb, x0)``, the relative
+    error is at most B/A times the relative residual: at B/A = 1.5e15 (Gauss,
+    r_bw 0.1, V=2, 8 kHz, ERB, L=4096) preconditioned CG stops after 1
+    iteration at a residual of 5.7e-16 and an error of 5.7e-3; the painless
+    dual gives 1.6e-10. The preconditioned variant applies the exact inverse of
+    S to every residual spectrum R: Z = R / H0 on a painless bank, otherwise
+    the inverses of the small connected blocks of S in the DFT domain, factored
+    once per bank (see :mod:`audfb.frame_diagnostics`). That factorization is
+    kept on the bank and pays off when one bank is solved repeatedly. A bank
+    whose blocks are over the size budgets gets 1/H0 alone and is not checked
+    for being a frame: CG may then return without error on a non-frame.
 
     Parameters
     ----------

@@ -360,6 +360,7 @@ def time_response_pcg(fb, coefficients, max_iterations=None):
 
 
 def _frame_algorithm(b, apply_s, bounds, tolerance):
+    """Neumann iteration from b through apply_s; returns (x, residuals)."""
     relax = 2.0 / (bounds[0] + bounds[1])
     x = np.zeros(b.shape[0], dtype=np.complex128)
     residuals = []
