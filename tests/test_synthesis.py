@@ -417,8 +417,9 @@ class TestSpectralIteration:
     def test_non_finite_coefficient_raises_before_iterating(
         self, rng, monkeypatch, solver, painless, bad
     ):
-        """One NaN coefficient ran the frame algorithm to its 10 000 iteration
-        cap, and CG into "operator not positive definite"."""
+        """A loop on spectra meets no sample check: unchecked, one NaN
+        coefficient ran the frame algorithm to its 10 000 iteration cap and
+        CG into "operator not positive definite"."""
         fb = audlet(1024) if painless else scaled_decimations(audlet(1024), 2)
         c = audfb.analyze(fb, rng.standard_normal(1024))
         c[3][0] = bad
