@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -60,6 +61,8 @@ __all__ = [
     "circular_cover",
     "PROTOTYPES",
 ]
+
+_BATCH_BYTES = 2**18  # of the coefficients one synthesis FFT takes at once: 16384 complex
 
 # prototype name -> (window callable on the normalized argument,
 #                    support half-width, L2 norm squared of the window)
@@ -567,16 +570,27 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
 
 
 def _synthesis_spectrum(fb: FilterBank, coefficients) -> np.ndarray:
-    """The spectrum of :func:`synthesize`'s signal, before the inverse DFT."""
+    """The spectrum of :func:`synthesize`'s signal, before the inverse DFT.
+
+    Each run of consecutive channels with one decimation is cut into batches
+    of at most ``_BATCH_BYTES`` of coefficients, at least one channel each,
+    and a batch takes one FFT along its rows. Each row is then scattered
+    into the total in channel order, its mirror term straight after it, so
+    every bin sums its terms in the order of a loop over the channels."""
     coefficients = _check_coefficients(fb, coefficients)
-    L = fb.signal_length
+    L, mirrored, first = fb.signal_length, _mirrored(fb), 0
     total = np.zeros(L, dtype=np.complex128)
-    mirrored = _mirrored(fb)
-    for k, (c, (start, values)) in enumerate(zip(coefficients, fb._covers)):
-        term = _take(np.fft.fft(c), start, values.size) * values
-        _add_at(total, start, term)
-        if k in mirrored:
-            _add_at(total, *_mirror(start, term, L))
+    for d, run in groupby(fb.decimations.tolist()):
+        end, size = first + len(list(run)), max(1, _BATCH_BYTES // (16 * L // d))
+        for k0 in range(first, end, size):
+            spectra = np.fft.fft(np.stack(coefficients[k0 : min(k0 + size, end)]), axis=1)
+            for k, spectrum in enumerate(spectra, k0):
+                start, values = fb._covers[k]
+                term = _take(spectrum, start, values.size) * values
+                _add_at(total, start, term)
+                if k in mirrored:
+                    _add_at(total, *_mirror(start, term, L))
+        first = end
     return total
 
 

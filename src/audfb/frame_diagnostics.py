@@ -150,22 +150,32 @@ def _walnut_terms(left, right, L: int, diagonal: bool = True) -> list:
     return entries
 
 
-def _frame_terms(fb: FilterBank) -> tuple[np.ndarray, tuple]:
+def _frame_terms(fb: FilterBank, flat: bool = False) -> tuple:
     """Walnut terms (H_0, entries) of the bank's frame operator, H_0 being
-    :func:`frequency_response` and the entries those of :func:`_walnut_terms`.
-    Computed on first use and kept read-only on the bank; ``dataclasses.replace``
-    makes a new bank with none. A painless bank has no entries."""
+    :func:`frequency_response` and the entries those of :func:`_walnut_terms`,
+    each (s, rows, values) a view into one flat array of all rows and one of
+    all values, in ascending s. With ``flat`` it returns (H_0, rows, cols,
+    values) of those arrays instead, cols = (rows - s) mod L. Computed on
+    first use and kept read-only on the bank; ``dataclasses.replace`` makes a
+    new bank with none. A painless bank has no entries."""
     if "walnut_terms" not in fb._derived:
-        entries = []
+        entries, L = [], fb.signal_length
         if not painless_check(fb):
             covers = _expanded_covers(fb)
-            adjoint = [(start, np.conj(values), d) for start, values, d in covers]
-            entries = _walnut_terms(adjoint, covers, fb.signal_length, diagonal=False)
-        H0 = frequency_response(fb)
-        for array in (H0, *(a for _, rows, values in entries for a in (rows, values))):
+            adjoint = [(a, np.conj(v), d) for a, v, d in covers]
+            entries = _walnut_terms(adjoint, covers, L, diagonal=False)
+            del adjoint  # freed before the entries are concatenated
+        shifts = np.array([s for s, *_ in entries], dtype=np.int64)
+        sizes = [j.size for _, j, _ in entries]
+        rows = np.concatenate([np.empty(0, np.int64), *(j for _, j, _ in entries)])
+        values = np.concatenate([np.empty(0, np.complex128), *(v for *_, v in entries)])
+        cols = (rows - np.repeat(shifts, sizes)) % L
+        H0, cuts = frequency_response(fb), np.cumsum(sizes[:-1], dtype=np.int64)
+        for array in (H0, rows, cols, values):
             array.flags.writeable = False
-        fb._derived["walnut_terms"] = H0, tuple(entries)
-    return fb._derived["walnut_terms"]
+        entries = zip(shifts.tolist(), np.split(rows, cuts), np.split(values, cuts))
+        fb._derived["walnut_terms"] = (H0, tuple(entries)), (H0, rows, cols, values)
+    return fb._derived["walnut_terms"][flat]
 
 
 def _component_blocks(fb: FilterBank, budget: bool):
@@ -177,12 +187,11 @@ def _component_blocks(fb: FilterBank, budget: bool):
     exceeds ``_COMPONENT_BUDGET`` bins or all blocks together exceed
     ``_ENTRY_BUDGET * L`` entries, which the entry count alone may show
     before any link is listed."""
-    (H0, entries), L = _frame_terms(fb), fb.signal_length
-    if budget and L + sum(rows.size for _, rows, _ in entries) > _ENTRY_BUDGET * L:
+    (H0, rows, cols, values), L = _frame_terms(fb, flat=True), fb.signal_length
+    if budget and L + rows.size > _ENTRY_BUDGET * L:
         return None
-    rows = np.concatenate([np.arange(L), *(j for _, j, _ in entries)])
-    cols = np.concatenate([np.arange(L), *((j - s) % L for s, j, _ in entries)])
-    values = np.concatenate([H0, *(v for *_, v in entries)])
+    rows, cols = (np.concatenate([np.arange(L), j]) for j in (rows, cols))
+    values = np.concatenate([H0, values])
     # min-label propagation with pointer jumping over the links (entries past
     # the L diagonal ones) labels each bin with the first bin of its component
     labels, previous = np.arange(L), None
@@ -351,10 +360,10 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
 
 def _walnut_spectrum(fb: FilterBank, X: np.ndarray) -> np.ndarray:
     """The Walnut sum of :func:`walnut_apply` on a spectrum X: the DFT of S x."""
-    H0, entries = _frame_terms(fb)
+    H0, rows, cols, values = _frame_terms(fb, flat=True)
     out = H0 * X + 0.0  # + 0.0 turns a -0.0 into 0.0, as a sum from zero does
-    for s, rows, values in entries:  # rows are distinct; add.at is the faster scatter-add
-        np.add.at(out, rows, values * X.take(rows - s))  # rows - s wraps to (rows - s) mod L
+    # add.at adds in array order, so each bin still sums its terms in ascending s
+    np.add.at(out, rows, values * X.take(cols))
     return out
 
 

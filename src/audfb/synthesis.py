@@ -124,9 +124,14 @@ def painless_dual(fb: FilterBank) -> FilterBank:
 
 
 def _rhs(fb: FilterBank, coefficients) -> np.ndarray:
-    """Spectrum of D c, c pushed back through the adjoint of analysis; DomainError unless finite."""
+    """Spectrum of D c, c pushed back through the adjoint of analysis; DomainError unless finite.
+    The adjoint bank is built on first use and kept on the bank, its covers read-only."""
+    if "adjoint" not in fb._derived:
+        fb._derived["adjoint"] = adjoint = adjoint_bank(fb)
+        for _, values in adjoint._covers:
+            values.flags.writeable = False
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite D c fails the test below
-        B = _synthesis_spectrum(adjoint_bank(fb), coefficients)
+        B = _synthesis_spectrum(fb._derived["adjoint"], coefficients)
     if not np.all(np.isfinite(B)):
         raise DomainError("coefficients must be finite")
     return B
@@ -266,20 +271,20 @@ def neumann_synthesize(
 
     Raises
     ------
+    DomainError
+        bounds are not ordered and finite (checked first), tolerance is not
+        positive and finite, max_iterations is not an integer of at least 1,
+        or a coefficient is not finite.
     NotAFrameError
         bounds.lower is not positive.
-    DomainError
-        bounds are not ordered and finite, tolerance is not positive and
-        finite, max_iterations is not an integer of at least 1, or a
-        coefficient is not finite.
     ConvergenceError
         Update still above tolerance at the iteration cap.
     """
     lower, upper = float(bounds[0]), float(bounds[1])
-    if not lower > 0.0:
-        raise NotAFrameError("lower frame bound is zero: frame algorithm undefined")
-    if not lower <= upper < math.inf:
+    if not -math.inf < lower <= upper < math.inf:
         raise DomainError(f"frame bounds need A <= B < inf, got ({lower}, {upper})")
+    if not lower > 0.0:
+        raise NotAFrameError("lower frame bound is not positive: frame algorithm undefined")
     _check_stopping(tolerance, max_iterations)
     relax = 2.0 / (lower + upper)
 

@@ -10,8 +10,8 @@ Each function after them works on the dense (channels, L) transfers
 ``fb.filters`` and evaluates its formula over all L bins, as the library did
 before it stored filters as circular covers. The tests compare the
 cover-based library against these, so nothing here may call the library's
-spectral code, with the one exception named above the solver oracles at the
-end.
+spectral code, with the exceptions named above the loop and solver oracles at
+the end.
 """
 
 import math
@@ -281,11 +281,39 @@ def pr_residual(fb_ana, fb_syn):
     return best, max(float(devs[best]), rest), devs
 
 
-# The solver oracles below run the simple code paths (one np.roll per term,
-# the 1/H0 preconditioner) on the library's own cached Walnut terms and
-# right-hand side spectrum, so the fast paths can be held to bit-for-bit
-# equality. The time_* oracles run the same iterations on signals, with two
-# transforms per application of S.
+# The oracles below run the simple code paths on the library's own covers and
+# cached Walnut terms, so the fast paths can be held to bit-for-bit equality:
+# first the loops the solver kernels replaced (one FFT per channel, one
+# scatter-add per bin shift), then the solvers (one np.roll per term, the 1/H0
+# preconditioner) on the library's right-hand side spectrum. The time_*
+# oracles run the same iterations on signals, with two transforms per
+# application of S.
+
+
+def loop_synthesis_spectrum(fb, coefficients):
+    """The spectrum of ``filterbank.synthesize`` with one FFT per channel,
+    each term scattered into the total in channel order, its mirror straight
+    after it."""
+    coefficients = filterbank._check_coefficients(fb, coefficients)
+    L = fb.signal_length
+    total = np.zeros(L, dtype=np.complex128)
+    mirrored = filterbank._mirrored(fb)
+    for k, (c, (start, values)) in enumerate(zip(coefficients, fb._covers)):
+        term = filterbank._take(np.fft.fft(c), start, values.size) * values
+        filterbank._add_at(total, start, term)
+        if k in mirrored:
+            filterbank._add_at(total, *filterbank._mirror(start, term, L))
+    return total
+
+
+def shift_walnut_spectrum(fb, X):
+    """The Walnut sum on a spectrum X with one ``np.add.at`` per bin shift s,
+    in ascending s, over the cached entries of H_s."""
+    H0, entries = frame_diagnostics._frame_terms(fb)
+    out = H0 * X + 0.0  # + 0.0 turns a -0.0 into 0.0, as a sum from zero does
+    for s, rows, values in entries:
+        np.add.at(out, rows, values * X.take(rows - s))  # rows - s wraps to (rows - s) mod L
+    return out
 
 
 def roll_walnut_spectrum(fb, X):

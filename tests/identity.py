@@ -106,6 +106,10 @@ def outputs(fb):
     signals = {"real": x, "complex": z, "zero": np.zeros(L), "negated": -x}
     coefficients = audfb.analyze(fb, x)
     trace = L <= TRACE_MAX_LENGTH
+    yield "analyze.real", lambda: coefficients  # analyze(fb, x), which the solvers invert
+    yield "synthesize.analyzed", lambda: audfb.synthesize(fb, coefficients)
+    if audfb.painless_check(fb):
+        yield "synthesize.dual", lambda: audfb.synthesize(audfb.painless_dual(fb), coefficients)
     yield "terms", lambda: frame_diagnostics._frame_terms(fb)
     for label, signal in signals.items():
         yield f"walnut_apply.{label}", lambda s=signal: audfb.walnut_apply(fb, s)

@@ -362,6 +362,14 @@ class TestNeumann:
         with pytest.raises(NotAFrameError):
             synthesis.neumann_synthesize(fb, c, bounds=(0.0, 2.0))
 
+    @pytest.mark.parametrize("bounds", [(-1.0, 1.0), (0.0, 0.0)])
+    def test_lower_bound_must_be_positive(self, rng, bounds):
+        """Ordered, finite bounds with A <= 0 name the bound, not its order."""
+        fb = audfb.build_audlet(0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512)
+        c = audfb.analyze(fb, rng.standard_normal(512))
+        with pytest.raises(NotAFrameError, match="lower frame bound is not positive"):
+            synthesis.neumann_synthesize(fb, c, bounds=bounds)
+
     def test_iteration_cap_raises(self, rng, small_erb_bank):
         fb = small_erb_bank
         c = audfb.analyze(fb, rng.standard_normal(4096))
@@ -376,11 +384,11 @@ class TestNeumann:
         with pytest.raises(DomainError):
             synthesis.neumann_synthesize(fb, c, bounds=(0.5, 2.0), tolerance=tolerance)
 
-    @pytest.mark.parametrize("bounds", [(1e-3, np.inf), (2.0, 1.0), (1e-3, np.nan)])
+    @pytest.mark.parametrize("bounds", [(1e-3, np.inf), (2.0, 1.0), (1e-3, np.nan), (np.nan, 1.0)])
     def test_bounds_must_be_ordered_and_finite(self, rng, bounds):
         """An infinite B made the relaxation 0 and returned the zero signal as
-        converged, B < A ran to ConvergenceError, and a NaN B raised from
-        walnut_apply about the samples."""
+        converged, B < A ran to ConvergenceError, a NaN B raised from
+        walnut_apply about the samples, and a NaN A raised NotAFrameError."""
         fb = audfb.build_audlet(0.0, 2000.0, 2.0, audfb.ERB, sample_rate=4000.0, signal_length=512)
         c = audfb.analyze(fb, rng.standard_normal(512))
         with pytest.raises(DomainError, match="need A <= B < inf"):
