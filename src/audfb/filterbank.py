@@ -570,27 +570,21 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
 
 
 def _synthesis_spectrum(fb: FilterBank, coefficients) -> np.ndarray:
-    """The spectrum of :func:`synthesize`'s signal, before the inverse DFT.
-
-    Each run of consecutive channels with one decimation is cut into batches
-    of at most ``_BATCH_BYTES`` of coefficients, at least one channel each,
-    and a batch takes one FFT along its rows. Each row is then scattered
-    into the total in channel order, its mirror term straight after it, so
-    every bin sums its terms in the order of a loop over the channels."""
-    coefficients = _check_coefficients(fb, coefficients)
-    L, mirrored, first = fb.signal_length, _mirrored(fb), 0
-    total = np.zeros(L, dtype=np.complex128)
+    """The spectrum of :func:`synthesize`'s signal, before the inverse DFT. Consecutive
+    channels with one decimation take one FFT per batch of at most ``_BATCH_BYTES``, and at
+    least one channel; each term is then added in channel order, its mirror right after."""
+    coefficients, L, end = _check_coefficients(fb, coefficients), fb.signal_length, 0
+    total, mirrored = np.zeros(L, dtype=np.complex128), _mirrored(fb)
     for d, run in groupby(fb.decimations.tolist()):
-        end, size = first + len(list(run)), max(1, _BATCH_BYTES // (16 * L // d))
+        first, end = end, end + len(list(run))
+        size = max(1, _BATCH_BYTES // (16 * L // d))
         for k0 in range(first, end, size):
             spectra = np.fft.fft(np.stack(coefficients[k0 : min(k0 + size, end)]), axis=1)
-            for k, spectrum in enumerate(spectra, k0):
-                start, values = fb._covers[k]
+            for k, (spectrum, (start, values)) in enumerate(zip(spectra, fb._covers[k0:end]), k0):
                 term = _take(spectrum, start, values.size) * values
                 _add_at(total, start, term)
                 if k in mirrored:
                     _add_at(total, *_mirror(start, term, L))
-        first = end
     return total
 
 

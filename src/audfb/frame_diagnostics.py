@@ -9,13 +9,14 @@ over the bin shifts s = i*L/d_k, where H_0 (the frequency response) collects
 the diagonal and the H_s for s >= 1 (the alias components) collect everything
 off it. This module computes the terms once per bank and keeps on it H_0 on
 all L bins and the nonzero entries of each H_s that occurs, which follow the
-filters' support: 6.5 MiB for the doubled ERB V=6 bank at 44.1 kHz, L=131072,
-against 33 MiB as dense arrays. The bounds, :func:`walnut_apply` and
-:func:`alias_components` all read them. The connected components of the links
-j ~ j - s (polyphase blocks of the equivalent uniform bank, split further) are
-small Hermitian blocks of S, written by one function: the exact bounds are
-their extreme eigenvalues, and their inverses, kept on the bank, precondition
-CG. It also classifies banks (painless, diagonally dominant), measures the
+filters' support, in flat row, column and value arrays by ascending s: 8.3 MiB
+for the doubled ERB V=6 bank at 44.1 kHz, L=131072, against 33 MiB as dense
+arrays. :func:`walnut_apply` sums them with one scatter-add, the bounds read
+them shift by shift. The connected components of the links j ~ j - s
+(polyphase blocks of the equivalent uniform bank, split further) are small
+Hermitian blocks of S, written by one function: the exact bounds are their
+extreme eigenvalues, and their inverses, kept on the bank, precondition CG.
+It also classifies banks (painless, diagonally dominant), measures the
 perfect-reconstruction residual of an analysis/synthesis pair from the same
 kind of terms, and rewrites a non-uniform bank as an equivalent uniform one.
 
@@ -131,8 +132,8 @@ def _walnut_terms(left, right, L: int, diagonal: bool = True) -> list:
     placement c = b + s (mod L) in (a - |H_k|, a + |G_k|), stepping by L/d_k,
     adds one run [max(a, c), min(a + |G_k|, c + |H_k|)), and a shift s >= 1 is
     listed where it has such a c, even with no nonzero entry. The runs are
-    summed shift by shift into one scratch array, cleared at its rows: doubled
-    ERB V=6 at 44.1 kHz peaks at 28 MiB."""
+    summed shift by shift into one scratch array, cleared at its rows: the
+    :func:`_frame_terms` build of doubled ERB V=6 at 44.1 kHz peaks at 26 MiB."""
     runs: dict[int, list] = {0: []}  # s -> views (start, G run, H run, d), channel order
     for (a, vg, _), (b, vh, d) in zip(left, right):
         low, step = a - vh.size + 1, L // d
@@ -151,20 +152,17 @@ def _walnut_terms(left, right, L: int, diagonal: bool = True) -> list:
 
 
 def _frame_terms(fb: FilterBank, flat: bool = False) -> tuple:
-    """Walnut terms (H_0, entries) of the bank's frame operator, H_0 being
-    :func:`frequency_response` and the entries those of :func:`_walnut_terms`,
-    each (s, rows, values) a view into one flat array of all rows and one of
-    all values, in ascending s. With ``flat`` it returns (H_0, rows, cols,
-    values) of those arrays instead, cols = (rows - s) mod L. Computed on
-    first use and kept read-only on the bank; ``dataclasses.replace`` makes a
-    new bank with none. A painless bank has no entries."""
+    """Walnut terms (H_0, entries) of the bank's frame operator: H_0 is
+    :func:`frequency_response`, and the entries of :func:`_walnut_terms` are
+    views into flat arrays of all rows and values in ascending s, which
+    ``flat`` returns as (H_0, rows, cols, values), cols = (rows - s) mod L.
+    Computed on first use and kept read-only on the bank; ``dataclasses.replace``
+    makes a new bank with none. A painless bank has no entries."""
     if "walnut_terms" not in fb._derived:
         entries, L = [], fb.signal_length
         if not painless_check(fb):
-            covers = _expanded_covers(fb)
-            adjoint = [(a, np.conj(v), d) for a, v, d in covers]
-            entries = _walnut_terms(adjoint, covers, L, diagonal=False)
-            del adjoint  # freed before the entries are concatenated
+            covers = _expanded_covers(fb)  # conjugated below, freed before the concatenation
+            entries = _walnut_terms([(a, np.conj(v), d) for a, v, d in covers], covers, L, False)
         shifts = np.array([s for s, *_ in entries], dtype=np.int64)
         sizes = [j.size for _, j, _ in entries]
         rows = np.concatenate([np.empty(0, np.int64), *(j for _, j, _ in entries)])
@@ -359,7 +357,8 @@ def walnut_apply(fb: FilterBank, x) -> np.ndarray:
 
 
 def _walnut_spectrum(fb: FilterBank, X: np.ndarray) -> np.ndarray:
-    """The Walnut sum of :func:`walnut_apply` on a spectrum X: the DFT of S x."""
+    """The Walnut sum of :func:`walnut_apply` on a spectrum X, the DFT of S x:
+    H_0 * X plus one scatter-add of all the alias entries."""
     H0, rows, cols, values = _frame_terms(fb, flat=True)
     out = H0 * X + 0.0  # + 0.0 turns a -0.0 into 0.0, as a sum from zero does
     # add.at adds in array order, so each bin still sums its terms in ascending s

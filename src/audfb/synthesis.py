@@ -124,9 +124,8 @@ def painless_dual(fb: FilterBank) -> FilterBank:
 
 
 def _rhs(fb: FilterBank, coefficients) -> np.ndarray:
-    """Spectrum of D c, c pushed back through the adjoint of analysis; DomainError unless finite.
-    The adjoint bank is built on first use and kept on the bank, its covers read-only."""
-    if "adjoint" not in fb._derived:
+    """Spectrum of D c, c pushed back through the adjoint of analysis; DomainError unless finite."""
+    if "adjoint" not in fb._derived:  # kept on the bank, read-only, as its Walnut terms are
         fb._derived["adjoint"] = adjoint = adjoint_bank(fb)
         for _, values in adjoint._covers:
             values.flags.writeable = False
