@@ -58,6 +58,8 @@ _ENTRY_BUDGET = 32
 # most L*D <= L^2 entries) and refuses over-budget banks above it.
 DENSE_EIGEN_MAX_LENGTH = 1024
 
+_UNIFORM_MAX_BYTES = 2**26  # of the rows equivalent_uniform makes: 4 M complex entries
+
 _METHODS = ("painless-exact", "diag-dominance", "dense-eigen")
 
 
@@ -68,7 +70,8 @@ class FrameReport:
     Attributes
     ----------
     frequency_response : ndarray
-        The diagonal term H0 over the L bins, always non-negative.
+        The diagonal term H0 over the L bins, always non-negative: the
+        read-only array :func:`frequency_response` keeps on the bank.
     alias_norms : ndarray
         sum_{s>=1} |H_s| over bin shifts s; identically zero for painless banks.
     painless : bool
@@ -424,17 +427,20 @@ def equivalent_uniform(fb: FilterBank) -> FilterBank:
     Raises
     ------
     UnsupportedConfigError
-        D exceeds the signal length.
+        D exceeds the signal length, or the rows' sum_k q_k |cover_k| complex
+        entries pass 64 MiB (32.5 M for ERB V=6 at 44.1 kHz), before any is made.
     """
     covers = _expanded_covers(fb)
     L = fb.signal_length
     D = _lcm_decimation(d for *_, d in covers)
     if D > L:
         raise UnsupportedConfigError(f"common decimation {D} exceeds signal length {L}")
+    if (size := 16 * sum(D // d * values.size for _, values, d in covers)) > _UNIFORM_MAX_BYTES:
+        raise UnsupportedConfigError(f"uniform rows of {size} bytes exceed {_UNIFORM_MAX_BYTES}")
     roots, rows = np.exp(-2j * np.pi * np.arange(L) / L), []
     for start, values, d in covers:
         j = (start + np.arange(values.size)) % L
-        rows += [(start, values * roots[(j * shift) % L]) for shift in range(0, D, d)]
+        rows += [(start, row) for row in values * roots[np.arange(0, D, d)[:, None] * j % L]]
     return FilterBank(
         decimations=np.full(len(rows), D, dtype=np.int64),
         sample_rate=fb.sample_rate,

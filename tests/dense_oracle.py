@@ -284,7 +284,9 @@ def pr_residual(fb_ana, fb_syn):
 # The oracles below run the simple code paths on the library's own covers and
 # cached Walnut terms, so the fast paths can be held to bit-for-bit equality:
 # first the loops the solver kernels replaced (one FFT per channel, one
-# scatter-add per bin shift), then the solvers (one np.roll per term, the 1/H0
+# scatter-add per bin shift) and the frequency response and uniform rows as
+# written before the bank kept them (a fresh sum per call, one gather per
+# split row), then the solvers (one np.roll per term, the 1/H0
 # preconditioner) on the library's right-hand side spectrum. The time_*
 # oracles run the same iterations on signals, with two transforms per
 # application of S.
@@ -304,6 +306,34 @@ def loop_synthesis_spectrum(fb, coefficients):
         if k in mirrored:
             filterbank._add_at(total, *filterbank._mirror(start, term, L))
     return total
+
+
+def loop_frequency_response(fb):
+    """H0 summed afresh on every call: each stored channel's energy scattered
+    in channel order, then the mirror of each mirrored channel's energy."""
+    response, mirrored = np.zeros(fb.signal_length), filterbank._mirrored(fb)
+    mirrors = []
+    for k, ((start, values), d) in enumerate(zip(fb._covers, fb.decimations)):
+        energy = (values.real**2 + values.imag**2) / int(d)
+        filterbank._add_at(response, start, energy)
+        if k in mirrored:
+            mirrors.append(filterbank._mirror(start, energy, response.size))
+    for start, energy in mirrors:
+        filterbank._add_at(response, start, energy)
+    return response
+
+
+def loop_uniform_rows(fb):
+    """The (start, values) rows of ``frame_diagnostics.equivalent_uniform``,
+    each split row with its own index array and gather of the root table."""
+    covers = filterbank._expanded_covers(fb)
+    L = fb.signal_length
+    D = math.lcm(*(d for *_, d in covers))
+    roots, rows = np.exp(-2j * np.pi * np.arange(L) / L), []
+    for start, values, d in covers:
+        j = (start + np.arange(values.size)) % L
+        rows += [(start, values * roots[(j * shift) % L]) for shift in range(0, D, d)]
+    return rows
 
 
 def shift_walnut_spectrum(fb, X):

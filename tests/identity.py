@@ -110,6 +110,8 @@ def outputs(fb):
     yield "synthesize.analyzed", lambda: audfb.synthesize(fb, coefficients)
     if audfb.painless_check(fb):
         yield "synthesize.dual", lambda: audfb.synthesize(audfb.painless_dual(fb), coefficients)
+    yield "frequency_response", lambda: audfb.frequency_response(fb)
+    yield "parseval_normalize", lambda: audfb.parseval_normalize(fb)
     yield "terms", lambda: frame_diagnostics._frame_terms(fb)
     for label, signal in signals.items():
         yield f"walnut_apply.{label}", lambda s=signal: audfb.walnut_apply(fb, s)
