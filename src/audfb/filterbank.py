@@ -633,7 +633,7 @@ def parseval_normalize(fb: FilterBank) -> FilterBank:
     fewer than L bins: then a bin is uncovered (no frame), and H0 is summed
     on the covered bins alone, with nothing made over all L bins.
     """
-    covers, L = _expanded_covers(fb), fb.signal_length
+    covers, L, where = _expanded_covers(fb), fb.signal_length, None
     if sum(values.size for _, values, _ in covers) >= L:
         response = frequency_response(fb)
     else:  # each value's index among the covered bins, the stored channels' first
@@ -643,7 +643,7 @@ def parseval_normalize(fb: FilterBank) -> FilterBank:
         response = np.bincount(where, weights=energy)
     scale = np.where(response > 0.0, 1.0 / np.sqrt(np.where(response > 0.0, response, 1.0)), 0.0)
     ends = np.cumsum([values.size for _, values in fb._covers])
-    parts = ([_take(scale, start, values.size) for start, values in fb._covers] if scale.size == L
+    parts = ([_take(scale, start, values.size) for start, values in fb._covers] if where is None
              else np.split(scale[where[: ends[-1]]], ends[:-1]))
     config = replace(fb.config, parseval=True) if fb.config is not None else None
     covers = [(start, values * part) for (start, values), part in zip(fb._covers, parts)]
