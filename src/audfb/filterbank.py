@@ -243,8 +243,7 @@ def _add_at(out: np.ndarray, start: int, values: np.ndarray) -> None:
     """out[(start + t) mod L] += values[t], for at most L values."""
     head = min(values.size, out.size - start)
     out[start : start + head] += values[:head]
-    if head < values.size:
-        out[: values.size - head] += values[head:]
+    out[: values.size - head] += values[head:]
 
 
 def _cover_of(H: np.ndarray) -> tuple[int, np.ndarray]:
@@ -629,22 +628,17 @@ def parseval_normalize(fb: FilterBank) -> FilterBank:
 
     For painless banks the result is an exact Parseval system (frame bounds
     (1, 1)); for non-painless banks it only flattens the diagonal term. H0
-    is the bank's :func:`frequency_response`, unless the covers add up to
-    fewer than L bins: then a bin is uncovered (no frame), and H0 is summed
-    on the covered bins alone, with nothing made over all L bins.
+    is summed per bin as in :func:`frequency_response`, in O(total support).
     """
-    covers, L, where = _expanded_covers(fb), fb.signal_length, None
-    if sum(values.size for _, values, _ in covers) >= L:
-        response = frequency_response(fb)
-    else:  # each value's index among the covered bins, the stored channels' first
-        bins = np.concatenate([np.arange(start, start + v.size) for start, v, _ in covers]) % L
-        where = np.unique(bins, return_inverse=True)[1]
-        energy = np.concatenate([(values.real**2 + values.imag**2) / d for _, values, d in covers])
-        response = np.bincount(where, weights=energy)
+    covers, L = _expanded_covers(fb), fb.signal_length
+    bins = np.concatenate([np.arange(start, start + v.size) for start, v, _ in covers]) % L
+    # each value's index among the covered bins, or among all L when they are as many
+    where = bins if bins.size >= L else np.unique(bins, return_inverse=True)[1]
+    energy = np.concatenate([(values.real**2 + values.imag**2) / d for _, values, d in covers])
+    response = np.bincount(where, weights=energy)
     scale = np.where(response > 0.0, 1.0 / np.sqrt(np.where(response > 0.0, response, 1.0)), 0.0)
-    ends = np.cumsum([values.size for _, values in fb._covers])
-    parts = ([_take(scale, start, values.size) for start, values in fb._covers] if where is None
-             else np.split(scale[where[: ends[-1]]], ends[:-1]))
     config = replace(fb.config, parseval=True) if fb.config is not None else None
-    covers = [(start, values * part) for (start, values), part in zip(fb._covers, parts)]
+    ends = np.cumsum([values.size for _, values in fb._covers]).tolist()
+    covers = [(start, values * scale[where[end - values.size : end]])
+              for (start, values), end in zip(fb._covers, ends)]
     return replace(fb, config=config, _covers=covers)

@@ -58,7 +58,7 @@ _ENTRY_BUDGET = 32
 # most L*D <= L^2 entries) and refuses over-budget banks above it.
 DENSE_EIGEN_MAX_LENGTH = 1024
 
-_UNIFORM_MAX_BYTES = 2**26  # of the rows equivalent_uniform makes: 4 M complex entries
+_UNIFORM_MAX_BYTES = 2**26  # of the rows equivalent_uniform keeps: 4 M complex entries
 
 _METHODS = ("painless-exact", "diag-dominance", "dense-eigen")
 
@@ -429,6 +429,8 @@ def equivalent_uniform(fb: FilterBank) -> FilterBank:
     UnsupportedConfigError
         D exceeds the signal length, or the rows' sum_k q_k |cover_k| complex
         entries pass 64 MiB (32.5 M for ERB V=6 at 44.1 kHz), before any is made.
+        The ceiling counts the rows only: the build of channel k also holds
+        an index array and a gather of q_k |cover_k| entries (24 bytes each).
     """
     covers = _expanded_covers(fb)
     L = fb.signal_length
