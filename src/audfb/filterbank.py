@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
@@ -235,7 +234,9 @@ def circular_cover(mask: np.ndarray) -> tuple[int, int]:
 
 
 def _take(a: np.ndarray, start: int, n: int) -> np.ndarray:
-    """a[(start + t) mod a.size] for t = 0 .. n-1."""
+    """a[(start + t) mod a.size] for t = 0 .. n-1: a view of ``a`` unless it wraps."""
+    if start + n <= a.size:
+        return a[start : start + n]
     return a.take(np.arange(start, start + n), mode="wrap")
 
 
@@ -249,7 +250,7 @@ def _add_at(out: np.ndarray, start: int, values: np.ndarray) -> None:
 def _cover_of(H: np.ndarray) -> tuple[int, np.ndarray]:
     """(start, values) of the circular cover of a dense transfer."""
     start, n = circular_cover(H != 0.0)
-    return start, _take(H, start, n)
+    return start, _take(H, start, n).copy()  # never a view of the caller's array
 
 
 def _dense(L: int, covers) -> np.ndarray:
@@ -284,19 +285,26 @@ def _expanded_covers(fb: FilterBank) -> tuple[tuple[int, np.ndarray, int], ...]:
     return fb._derived["expanded_covers"]
 
 
-def _fold(values: np.ndarray, start: int, N: int) -> np.ndarray:
-    """Alias fold onto N bins (N divides L) of the spectrum V that equals
-    ``values`` on the circular interval from bin ``start`` and vanishes
-    elsewhere: sum_s V[i + s*N].
+def _fold(spectrum: np.ndarray, values: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Alias fold into the N = out.size bins of ``out`` (N divides L) of the spectrum V
+    that equals ``spectrum * values`` on the circular interval from bin ``start`` and
+    vanishes elsewhere: out[i] = sum_s V[i + s*N].
 
-    The interval is padded to whole rows of N bins and summed row by row, so
-    a cover of at most N bins folds without adding two nonzero terms.
+    The product fills the interval padded to whole rows of N bins, summed row by row
+    into ``out``, so a cover of at most N bins folds without adding two nonzero terms.
     """
+    N = out.size
     offset = start % N
     rows = -(-(offset + values.size) // N)
     padded = np.zeros(rows * N, dtype=np.complex128)
-    padded[offset : offset + values.size] = values
-    return padded.reshape(rows, N).sum(axis=0)
+    np.multiply(spectrum, values, out=padded[offset : offset + values.size])
+    padded.reshape(rows, N).sum(axis=0, out=out)
+
+
+def _runs(decimations: np.ndarray):
+    """(first, end, d) of each run of consecutive channels first .. end-1 with one decimation d."""
+    firsts = np.flatnonzero(np.diff(decimations, prepend=0)).tolist()  # every d_k is positive
+    return zip(firsts, firsts[1:] + [decimations.size], decimations[firsts].tolist())
 
 
 def _divisors(L: int) -> np.ndarray:
@@ -333,8 +341,7 @@ def _window_cover(window, half_width: float, L: int, sample_rate: float,
     t = j - c_bins + L / 2.0 if inside else (j - c_bins + L / 2.0) % L
     values = window((t - L / 2.0) * (sample_rate / L) / gamma) / math.sqrt(gamma)
     start, n = circular_cover(values > 0.0)
-    cover = values[start : start + n] if start + n <= count else _take(values, start, n)
-    return int(j[start]), cover
+    return int(j[start]), _take(values, start, n)
 
 
 def _channel_count(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
@@ -543,18 +550,19 @@ def analyze(fb: FilterBank, x) -> list[np.ndarray]:
     """Subband coefficients y_k = downsample(idft(dft(x) * H_k), d_k).
 
     The downsampled spectrum is formed by alias-folding X * H_k, which is the
-    same map computed with length-L/d_k inverse transforms.
+    same map computed with length-L/d_k inverse transforms. Each run of consecutive channels
+    with one decimation folds into the rows of one block, which takes one inverse FFT in place.
     """
     x = _as_signal(x)
     if x.shape[0] != fb.signal_length:
         raise ShapeError(f"signal must have length {fb.signal_length}")
-    X = np.fft.fft(x)
-    L = fb.signal_length
-    out = []
-    for (start, values), d in zip(fb._covers, fb.decimations):
-        d = int(d)
-        spectrum = _take(X, start, values.size) * values
-        out.append(np.fft.ifft(_fold(spectrum, start, L // d) / d))
+    X, out = np.fft.fft(x), []
+    for first, end, d in _runs(fb.decimations):
+        block = np.empty((end - first, fb.signal_length // d), dtype=np.complex128)
+        for row, (start, values) in zip(block, fb._covers[first:end]):
+            _fold(_take(X, start, values.size), values, start, row)
+        block /= d
+        out.extend(np.fft.ifft(block, axis=1, out=block))
     return out
 
 
@@ -566,20 +574,21 @@ def synthesize(fb: FilterBank, coefficients) -> np.ndarray:
     u_k + conj(u_k). That completion reconstructs real signals exactly and is
     linear over real scalars (full-layout banks are complex-linear).
     """
-    return np.fft.ifft(_synthesis_spectrum(fb, coefficients))
+    total = _synthesis_spectrum(fb, coefficients)
+    return np.fft.ifft(total, out=total)
 
 
 def _synthesis_spectrum(fb: FilterBank, coefficients) -> np.ndarray:
     """The spectrum of :func:`synthesize`'s signal, before the inverse DFT. Consecutive
-    channels with one decimation take one FFT per batch of at most ``_BATCH_BYTES``, and at
-    least one channel; each term is then added in channel order, its mirror right after."""
-    coefficients, L, end = _check_coefficients(fb, coefficients), fb.signal_length, 0
+    channels with one decimation take one FFT in place per batch of at most ``_BATCH_BYTES``,
+    and at least one channel; each term is then added in channel order, its mirror right after."""
+    coefficients, L = _check_coefficients(fb, coefficients), fb.signal_length
     total, mirrored = np.zeros(L, dtype=np.complex128), _mirrored(fb)
-    for d, run in groupby(fb.decimations.tolist()):
-        first, end = end, end + len(list(run))
+    for first, end, d in _runs(fb.decimations):
         size = max(1, _BATCH_BYTES // (16 * L // d))
         for k0 in range(first, end, size):
-            spectra = np.fft.fft(np.stack(coefficients[k0 : min(k0 + size, end)]), axis=1)
+            spectra = np.stack(coefficients[k0 : min(k0 + size, end)])
+            np.fft.fft(spectra, axis=1, out=spectra)
             for k, (spectrum, (start, values)) in enumerate(zip(spectra, fb._covers[k0:end]), k0):
                 term = _take(spectrum, start, values.size) * values
                 _add_at(total, start, term)

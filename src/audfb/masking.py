@@ -137,8 +137,8 @@ def irrelevance_threshold(coefficients, fb: FilterBank, model: IrrelevanceModel)
     neighbouring centers and absorbs each masker, resampled to the target
     rate. A target reads the forward run (maskers below it, upper slope)
     and the backward run (maskers above, lower slope) before absorbing its
-    own level, which enters exactly. For K channels that costs K times the
-    sum of L/d over the distinct rates d, in place of K per coefficient.
+    own level, which enters exactly. A sweep stops at its rate's last target, so K channels
+    cost at most 2K times the sum of L/d over the distinct rates d, not K per coefficient.
     Summing gaps rounds differently from one difference per pair:
     thresholds lie within 4*K*eps*(max |level| + max slope * (u_max -
     u_min)) dB of the per-pair maximum.
@@ -178,8 +178,9 @@ def _threshold_and_levels(coefficients, fb: FilterBank, model: IrrelevanceModel)
         # integer arithmetic, wrapped into the masker's subband
         nearest = {d: ((2 * n * d_k + d) // (2 * d)) % (L // d) for d in set(decimations)}
         for channels, steps, slope in sweeps:
+            stop = 1 + max(i for i, kappa in enumerate(channels) if decimations[kappa] == d_k)
             run = np.full(n.size, -np.inf)
-            for kappa, step in zip(channels, steps):
+            for kappa, step in zip(channels[:stop], steps):
                 run -= slope * step  # gaps, not R + s*u offsets: huge slopes give -inf
                 d_kap = decimations[kappa]
                 if d_kap == d_k:  # read the run before it absorbs the target

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from audfb import filterbank, finite_frames, frame_diagnostics, synthesis
+from audfb import filterbank, finite_frames, frame_diagnostics, masking, scales, synthesis
 from audfb.errors import ConvergenceError, DomainError, ShapeError
 from audfb.filterbank import _as_signal
 
@@ -283,13 +283,70 @@ def pr_residual(fb_ana, fb_syn):
 
 # The oracles below run the simple code paths on the library's own covers and
 # cached Walnut terms, so the fast paths can be held to bit-for-bit equality:
-# first the loops the solver kernels replaced (one FFT per channel, one
-# scatter-add per bin shift) and the frequency response and uniform rows as
-# written before the bank kept them (a fresh sum per call, one gather per
-# split row), then the solvers (one np.roll per term, the 1/H0
-# preconditioner) on the library's right-hand side spectrum. The time_*
-# oracles run the same iterations on signals, with two transforms per
-# application of S.
+# first the loops the batched kernels replaced (one transform per channel, one
+# scatter-add per bin shift, every masking sweep over all channels) and the
+# frequency response and uniform rows as written before the bank kept them (a
+# fresh sum per call, one gather per split row), then the solvers (one np.roll
+# per term, the 1/H0 preconditioner) on the library's right-hand side
+# spectrum. The time_* oracles run the same iterations on signals, with two
+# transforms per application of S.
+
+
+def _wrapped(a, start, n):
+    """a[(start + t) mod a.size] for t = 0 .. n-1, always a gathered copy."""
+    return a.take(np.arange(start, start + n), mode="wrap")
+
+
+def _cover_fold(values, start, N):
+    """Alias fold onto N bins of the spectrum that equals ``values`` on the
+    circular interval from bin ``start`` and vanishes elsewhere, into a fresh
+    array: the interval padded to whole rows of N bins, summed row by row."""
+    offset = start % N
+    rows = -(-(offset + values.size) // N)
+    padded = np.zeros(rows * N, dtype=np.complex128)
+    padded[offset : offset + values.size] = values
+    return padded.reshape(rows, N).sum(axis=0)
+
+
+def loop_analyze(fb, x):
+    """``filterbank.analyze`` with one inverse FFT per channel: each cover's
+    product with the signal's spectrum folded into a fresh array and divided
+    by d_k."""
+    X = np.fft.fft(_as_signal(x))
+    out = []
+    for (start, values), d in zip(fb._covers, fb.decimations):
+        d = int(d)
+        spectrum = _wrapped(X, start, values.size) * values
+        out.append(np.fft.ifft(_cover_fold(spectrum, start, fb.signal_length // d) / d))
+    return out
+
+
+def full_sweep_threshold(coefficients, fb, model):
+    """``masking.irrelevance_threshold`` with every sweep of every rate run
+    over all channels, past the last target that reads it."""
+    c = filterbank._check_coefficients(fb, coefficients)
+    units = scales.scale_value(model.scale, np.asarray(fb.center_frequencies, dtype=np.float64))
+    levels = masking._levels_db(c)
+    upper, lower = model.spread_upper_db_per_unit, model.spread_lower_db_per_unit
+    order = np.argsort(units, kind="stable")
+    gaps = np.diff(units[order], prepend=units[order[0]], append=units[order[-1]]).tolist()
+    sweeps = ((order.tolist(), gaps[:-1], upper), (order[::-1].tolist(), gaps[:0:-1], lower))
+    L, decimations = fb.signal_length, fb.decimations.tolist()
+    thresholds = [level.copy() for level in levels]
+    for d_k in set(decimations):
+        n = np.arange(L // d_k)
+        nearest = {d: ((2 * n * d_k + d) // (2 * d)) % (L // d) for d in set(decimations)}
+        for channels, steps, slope in sweeps:
+            run = np.full(n.size, -np.inf)
+            for kappa, step in zip(channels, steps):
+                run -= slope * step
+                d_kap = decimations[kappa]
+                if d_kap == d_k:
+                    np.maximum(thresholds[kappa], run, out=thresholds[kappa])
+                np.maximum(run, levels[kappa][nearest[d_kap]], out=run)
+    for thr in thresholds:
+        thr += model.offset_db
+    return thresholds
 
 
 def loop_synthesis_spectrum(fb, coefficients):
@@ -301,7 +358,7 @@ def loop_synthesis_spectrum(fb, coefficients):
     total = np.zeros(L, dtype=np.complex128)
     mirrored = filterbank._mirrored(fb)
     for k, (c, (start, values)) in enumerate(zip(coefficients, fb._covers)):
-        term = filterbank._take(np.fft.fft(c), start, values.size) * values
+        term = _wrapped(np.fft.fft(c), start, values.size) * values
         filterbank._add_at(total, start, term)
         if k in mirrored:
             filterbank._add_at(total, *filterbank._mirror(start, term, L))

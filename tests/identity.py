@@ -107,6 +107,11 @@ def outputs(fb):
     coefficients = audfb.analyze(fb, x)
     trace = L <= TRACE_MAX_LENGTH
     yield "analyze.real", lambda: coefficients  # analyze(fb, x), which the solvers invert
+    yield "analyze.complex", lambda: audfb.analyze(fb, z)
+    if fb.center_frequencies is not None:
+        model = audfb.IrrelevanceModel()
+        yield "irrelevance_threshold", lambda: audfb.irrelevance_threshold(coefficients, fb, model)
+        yield "irrelevance_filter", lambda: audfb.irrelevance_filter(fb, x, model)
     yield "synthesize.analyzed", lambda: audfb.synthesize(fb, coefficients)
     if audfb.painless_check(fb):
         yield "synthesize.dual", lambda: audfb.synthesize(audfb.painless_dual(fb), coefficients)

@@ -1,10 +1,13 @@
 """The batched solver kernels against the simple loops they replaced, and the
 caches behind them.
 
-The synthesis spectrum takes one FFT per batch of consecutive channels with
-one decimation, and the Walnut sum one scatter-add over all alias entries.
-Both must equal the per-channel and per-shift loops of ``dense_oracle`` bit
-for bit, signed zeros included, on every bank of the identity harness.
+Analysis folds each run of consecutive channels with one decimation into one
+block and takes one inverse FFT of it, the synthesis spectrum takes one FFT
+per batch of such channels, the Walnut sum one scatter-add over all alias
+entries, and each masking sweep stops at the last target of its rate. All
+must equal the per-channel, per-shift and full-sweep loops of
+``dense_oracle`` bit for bit, signed zeros included, on every bank of the
+identity harness.
 """
 
 import dataclasses
@@ -15,7 +18,8 @@ import pytest
 import audfb
 import dense_oracle as oracle
 import identity
-from audfb import filterbank, frame_diagnostics, synthesis
+from audfb import filterbank, frame_diagnostics, masking, synthesis
+from audfb.errors import DomainError
 from conftest import scaled_decimations
 
 
@@ -78,6 +82,115 @@ def test_synthesis_spectrum_matches_channel_loop(banks, monkeypatch, name, cap):
             assert all(rows == 1 or rows * n * 16 <= limit for rows, n in shapes)
             if cap == "below one channel":
                 assert all(rows == 1 for rows, n in shapes if n * 16 == longest)
+
+
+def signals_of(L):
+    """A real, a complex and a zero signal of length L."""
+    gen = np.random.default_rng(L)
+    x = gen.standard_normal(L)
+    return {"real": x, "complex": x + 1j * gen.standard_normal(L), "zero": np.zeros(L)}
+
+
+def assert_same_channels(fast, reference):
+    assert len(fast) == len(reference)
+    for a, b in zip(fast, reference):
+        assert a.shape == b.shape
+        assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("name", list(identity.BANKS))
+def test_analyze_matches_channel_loop(banks, name):
+    """One block and one inverse FFT per run of one decimation: the same
+    bits as one fold and one inverse FFT per channel."""
+    fb = identity_bank(banks, name)
+    for signal in signals_of(fb.signal_length).values():
+        assert_same_channels(audfb.analyze(fb, signal), oracle.loop_analyze(fb, signal))
+
+
+@pytest.mark.parametrize("name", list(identity.BANKS))
+def test_threshold_matches_full_sweep(banks, name):
+    """Sweeps stopped at their rate's last target leave every threshold's
+    bits as sweeps over all channels do; a bank without centers raises."""
+    fb = identity_bank(banks, name)
+    model = audfb.IrrelevanceModel()
+    for signal in signals_of(fb.signal_length).values():
+        c = audfb.analyze(fb, signal)
+        if fb.center_frequencies is None:
+            with pytest.raises(DomainError, match="center frequencies"):
+                audfb.irrelevance_threshold(c, fb, model)
+            continue
+        fast = audfb.irrelevance_threshold(c, fb, model)
+        assert_same_channels(fast, oracle.full_sweep_threshold(c, fb, model))
+
+
+def interleaved_bank(one_sided=False):
+    """Random full-support filters on L=48 whose decimations 4, 8, 4, 2, 4
+    form five runs, two of them with one rate, and whose centers are not in
+    channel order."""
+    fb = identity._random(48, [4, 8, 4, 2, 4], 5, one_sided=one_sided)
+    return dataclasses.replace(fb, center_frequencies=np.array([9.0, 1.0, 20.0, 4.0, 14.0]))
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_unsorted_decimation_runs(one_sided):
+    """Runs of one rate that are not neighbours analyze as the channel loop
+    does and as the dense oracle does, and their thresholds as full sweeps."""
+    fb = interleaved_bank(one_sided)
+    assert [tuple(run) for run in filterbank._runs(fb.decimations)] == [
+        (0, 1, 4), (1, 2, 8), (2, 3, 4), (3, 4, 2), (4, 5, 4)
+    ]
+    model = audfb.IrrelevanceModel()
+    for signal in signals_of(48).values():
+        c = audfb.analyze(fb, signal)
+        assert_same_channels(c, oracle.loop_analyze(fb, signal))
+        for fast, dense in zip(c, oracle.analyze(fb, signal)):
+            np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12)
+        fast = audfb.irrelevance_threshold(c, fb, model)
+        assert_same_channels(fast, oracle.full_sweep_threshold(c, fb, model))
+
+
+def test_rows_of_one_run_share_one_block(rng):
+    """analyze returns the rows of one block per run of one decimation:
+    the rows of a run share one base, and no two runs share one."""
+    fb = nonpainless_bank()
+    c = audfb.analyze(fb, rng.standard_normal(fb.signal_length))
+    runs = list(filterbank._runs(fb.decimations))
+    assert len(runs) > 1
+    bases = []
+    for first, end, d in runs:
+        block = c[first].base
+        assert block.shape == (end - first, fb.signal_length // d)
+        assert all(ck.base is block for ck in c[first:end])
+        bases.append(block)
+    assert len({id(block) for block in bases}) == len(runs)
+
+
+def test_bank_does_not_alias_dense_filters(rng):
+    """A bank built from a complex128 array keeps copies of its rows, even
+    where a cover is a plain slice of a row: changing the array afterwards
+    changes neither the bank's filters nor its analysis."""
+    L = 32
+    H = np.zeros((3, L), dtype=np.complex128)
+    H[0, 3:9] = rng.standard_normal(6) + 1j * rng.standard_normal(6)  # a slice of row 0
+    H[1, [30, 31, 0, 1]] = rng.standard_normal(4)  # wraps: a gathered copy
+    H[2] = rng.standard_normal(L)  # the full row
+    fb = audfb.FilterBank(H, decimations=[4, 8, 1], sample_rate=1.0, one_sided=False)
+    filters = fb.filters.copy()
+    x = rng.standard_normal(L)
+    before = audfb.analyze(fb, x)
+    H[:] = 7.0
+    assert np.array_equal(fb.filters, filters)
+    assert_same_channels(audfb.analyze(fb, x), before)
+    assert not any(np.shares_memory(values, H) for _, values in fb._covers)
+
+
+def test_synthesis_leaves_coefficients_unchanged(rng):
+    """The in-place transforms of synthesis work on copies of the coefficients."""
+    fb = nonpainless_bank()
+    c = audfb.analyze(fb, rng.standard_normal(fb.signal_length))
+    kept = [ck.copy() for ck in c]
+    audfb.synthesize(fb, c)
+    assert_same_channels(c, kept)
 
 
 @pytest.mark.parametrize("name", list(identity.BANKS))

@@ -189,3 +189,9 @@ def test_add_at_matches_numpy_add_at(start, n):
     np.add.at(expected, (start + np.arange(n)) % 16, values)
     filterbank._add_at(out, start, values)
     assert_same_bits(out, expected)
+
+
+def test_uniform_ceiling_is_64_mib():
+    """The ceiling the README states for the rows equivalent_uniform keeps:
+    64 MiB, 4 M complex entries. The refusal tests move it, so pin it here."""
+    assert frame_diagnostics._UNIFORM_MAX_BYTES == 2**26
