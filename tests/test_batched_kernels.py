@@ -1,5 +1,5 @@
-"""The batched solver kernels against the simple loops they replaced, and the
-caches behind them.
+"""The batched kernels against the simple loops they replaced, and the caches
+behind them.
 
 Analysis folds each run of consecutive channels with one decimation into one
 block and takes one inverse FFT of it, the synthesis spectrum takes one FFT
@@ -18,7 +18,7 @@ import pytest
 import audfb
 import dense_oracle as oracle
 import identity
-from audfb import filterbank, frame_diagnostics, masking, synthesis
+from audfb import filterbank, frame_diagnostics, synthesis
 from audfb.errors import DomainError
 from conftest import scaled_decimations
 
@@ -125,7 +125,7 @@ def test_threshold_matches_full_sweep(banks, name):
 
 def interleaved_bank(one_sided=False):
     """Random full-support filters on L=48 whose decimations 4, 8, 4, 2, 4
-    form five runs, two of them with one rate, and whose centers are not in
+    form five runs, three of them of rate 4, and whose centers are not in
     channel order."""
     fb = identity._random(48, [4, 8, 4, 2, 4], 5, one_sided=one_sided)
     return dataclasses.replace(fb, center_frequencies=np.array([9.0, 1.0, 20.0, 4.0, 14.0]))
@@ -136,7 +136,7 @@ def test_unsorted_decimation_runs(one_sided):
     """Runs of one rate that are not neighbours analyze as the channel loop
     does and as the dense oracle does, and their thresholds as full sweeps."""
     fb = interleaved_bank(one_sided)
-    assert [tuple(run) for run in filterbank._runs(fb.decimations)] == [
+    assert list(filterbank._runs(fb.decimations)) == [
         (0, 1, 4), (1, 2, 8), (2, 3, 4), (3, 4, 2), (4, 5, 4)
     ]
     model = audfb.IrrelevanceModel()
