@@ -61,7 +61,9 @@ __all__ = [
     "PROTOTYPES",
 ]
 
-_BATCH_BYTES = 2**18  # of the coefficients one synthesis FFT takes at once: 16384 complex
+# of the float64 window bins one bank build evaluates at once (32768), and of the
+# coefficients one synthesis FFT takes at once (16384 complex)
+_BATCH_BYTES = 2**18
 
 # prototype name -> (window callable on the normalized argument,
 #                    support half-width, L2 norm squared of the window)
@@ -160,9 +162,9 @@ class FilterBank:
             raise ShapeError("downsampling factors must be integers")
         decimations.flags.writeable = False
         L = int(_length)
-        for d in decimations:
-            if d < 1 or L % int(d) != 0:
-                raise ShapeError(f"downsampling factor {int(d)} must divide L={L}")
+        bad = (decimations < 1) | (L % np.maximum(decimations, 1) != 0)
+        if bad.any():
+            raise ShapeError(f"downsampling factor {int(decimations[bad.argmax()])} must divide L={L}")
         if one_sided and len(_covers) < 2:
             raise ShapeError("a one-sided bank needs at least DC and Nyquist channels")
         for name, per_channel in (("center_frequencies", center_frequencies),
@@ -285,20 +287,23 @@ def _expanded_covers(fb: FilterBank) -> tuple[tuple[int, np.ndarray, int], ...]:
     return fb._derived["expanded_covers"]
 
 
-def _fold(spectrum: np.ndarray, values: np.ndarray, start: int, out: np.ndarray) -> None:
+def _fold(spectrum: np.ndarray, values: np.ndarray, start: int, out: np.ndarray,
+          scratch: np.ndarray) -> None:
     """Alias fold into the N = out.size bins of ``out`` (N divides L) of the spectrum V
     that equals ``spectrum * values`` on the circular interval from bin ``start`` and
     vanishes elsewhere: out[i] = sum_s V[i + s*N].
 
-    The product fills the interval padded to whole rows of N bins, summed row by row
-    into ``out``, so a cover of at most N bins folds without adding two nonzero terms.
+    The product fills the interval in the zeroed ``scratch``, whose whole rows of N bins
+    up to the interval's end are summed row by row into ``out``, so a cover of at most
+    N bins folds without adding two nonzero terms. The interval is zeroed again after.
     """
     N = out.size
     offset = start % N
-    rows = -(-(offset + values.size) // N)
-    padded = np.zeros(rows * N, dtype=np.complex128)
-    np.multiply(spectrum, values, out=padded[offset : offset + values.size])
-    padded.reshape(rows, N).sum(axis=0, out=out)
+    end = offset + values.size
+    rows = -(-end // N)
+    np.multiply(spectrum, values, out=scratch[offset:end])
+    scratch[: rows * N].reshape(rows, N).sum(axis=0, out=out)
+    scratch[offset:end] = 0.0
 
 
 def _runs(decimations: np.ndarray):
@@ -314,34 +319,83 @@ def _divisors(L: int) -> np.ndarray:
     return np.union1d(small, L // small)
 
 
-def _window_cover(window, half_width: float, L: int, sample_rate: float,
-                  center: float, gamma: float) -> tuple[int, np.ndarray]:
-    """Cover of the bins where window(offset / gamma) / sqrt(gamma) > 0,
-    offset being each bin's signed circular distance (Hz) from ``center``.
+def _audlet_covers(prototype: str, L: int, sample_rate: float, centers, gammas) -> list:
+    """(start, values) cover of each channel's window(offset / gamma) / sqrt(gamma),
+    offset being each bin's signed circular distance (Hz) from the channel's center,
+    scaled to the L2 energy (L / f_s) * ||w||^2 of the prototype.
 
-    Only the bins within the window's reach of the center are evaluated.
-    Distances are computed in bin units first; when the center falls exactly
-    on a bin (DC and, for even L, Nyquist) the bin arithmetic is
+    Only the bins within a window's reach of its center are evaluated, and consecutive
+    channels are evaluated together, in batches of at most ``_BATCH_BYTES`` of float64
+    bins and at least one channel. Distances are computed in bin units first; when the
+    center falls exactly on a bin (DC and, for even L, Nyquist) the bin arithmetic is
     integer-exact, which makes those filters bit-exactly even under j -> -j.
     """
-    c_bins = center * L / sample_rate
-    if abs(c_bins - round(c_bins)) < 1e-9:
-        c_bins = float(round(c_bins))
-    reach = half_width * gamma * L / sample_rate
-    first, count = 0, L
-    if reach < L / 2.0 - 2.0:
-        first = math.floor(c_bins - reach) - 1
-        count = math.ceil(c_bins + reach) + 2 - first
-    # A range inside [0, L) has |j - c_bins| <= reach + 2 < L/2, where both
-    # reductions mod L are exact no-ops; wrapping and full-circle ranges need them.
-    inside = count < L and 0 <= first and first + count <= L
-    j = np.arange(first, first + count)
-    if not inside:
-        j %= L
-    t = j - c_bins + L / 2.0 if inside else (j - c_bins + L / 2.0) % L
-    values = window((t - L / 2.0) * (sample_rate / L) / gamma) / math.sqrt(gamma)
-    start, n = circular_cover(values > 0.0)
-    return int(j[start]), _take(values, start, n)
+    window, half_width, norm_sq = PROTOTYPES[prototype]
+    target = (L / sample_rate) * norm_sq
+    c_bins, firsts, counts, wraps = [], [], [], []
+    for center, gamma in zip(centers, gammas):
+        c = center * L / sample_rate
+        if abs(c - round(c)) < 1e-9:
+            c = float(round(c))
+        reach = half_width * gamma * L / sample_rate
+        first, count = 0, L
+        if reach < L / 2.0 - 2.0:
+            first = math.floor(c - reach) - 1
+            count = math.ceil(c + reach) + 2 - first
+        c_bins.append(c)
+        firsts.append(first)
+        counts.append(count)
+        # A range inside [0, L) has |j - c| <= reach + 2 < L/2, where both
+        # reductions mod L are exact no-ops; wrapping and full-circle ranges need them.
+        wraps.append(not (count < L and 0 <= first and first + count <= L))
+    c_bins, gammas = np.array(c_bins), np.asarray(gammas, dtype=np.float64)
+    roots = [math.sqrt(gamma) for gamma in gammas.tolist()]
+    covers, end, cap = [], 0, _BATCH_BYTES // 8
+    while end < len(counts):
+        k0, size = end, counts[end]
+        end += 1
+        while end < len(counts) and size + counts[end] <= cap:
+            size += counts[end]
+            end += 1
+        n = counts[k0:end]
+        ends = np.cumsum(n)
+        offsets = ends - n
+        j = np.arange(size) + np.repeat(np.subtract(firsts[k0:end], offsets), n)
+        wrapped = [(a, b) for a, b, w in zip(offsets.tolist(), ends.tolist(), wraps[k0:end]) if w]
+        for a, b in wrapped:
+            j[a:b] %= L
+        t = j - np.repeat(c_bins[k0:end], n)
+        t += L / 2.0
+        for a, b in wrapped:
+            t[a:b] %= L
+        t -= L / 2.0
+        t *= sample_rate / L
+        t /= np.repeat(gammas[k0:end], n)
+        values = window(t)
+        values /= np.repeat(roots[k0:end], n)
+        # each channel's positive bins, which are one run unless its segment wraps
+        positive = np.flatnonzero(values > 0.0)
+        lo, hi = np.searchsorted(positive, offsets), np.searchsorted(positive, ends)
+        runs = hi - lo
+        if not runs.all():
+            k = k0 + int(np.argmin(runs))
+            raise UnsupportedConfigError(
+                f"channel {k} (center {centers[k]:.6g} Hz) has no nonzero bins; "
+                "increase signal_length or r_bw"
+            )
+        heads = positive[lo]
+        one_run = positive[hi - 1] - heads + 1 == runs
+        for a, b, head, start, m, single in zip(offsets.tolist(), ends.tolist(), heads.tolist(),
+                                                j[heads].tolist(), runs.tolist(), one_run.tolist()):
+            if single:
+                vals = values[head : head + m]
+            else:
+                segment = values[a:b]
+                head, m = circular_cover(segment > 0.0)
+                start, vals = int(j[a + head]), _take(segment, head, m)
+            gain = math.sqrt(target / float(np.add.reduce(vals**2)))
+            covers.append((start, np.multiply(vals, gain, out=np.empty(m, np.complex128))))
+    return covers
 
 
 def _channel_count(f_min, f_max, channels_per_unit, scale, *, sample_rate, signal_length,
@@ -444,23 +498,7 @@ def build_audlet(
         signal_length=signal_length, prototype=prototype, r_bw=r_bw, r_d=r_d, dc_filter=dc_filter,
     )
     L = int(signal_length)
-    window, half_width, norm_sq = PROTOTYPES[prototype]
-
-    n = len(all_centers)
-    covers = []
-    # exact equal-energy normalization to the analytic target (L/f_s)*||w||^2
-    target = (L / sample_rate) * norm_sq
-    for k in range(n):
-        start, vals = _window_cover(
-            window, half_width, L, sample_rate, all_centers[k], all_gammas[k]
-        )
-        if vals.size == 0:
-            raise UnsupportedConfigError(
-                f"channel {k} (center {all_centers[k]:.6g} Hz) has no nonzero bins; "
-                "increase signal_length or r_bw"
-            )
-        gain = math.sqrt(target / float(np.sum(vals**2)))
-        covers.append((start, np.multiply(vals, gain, out=np.empty(vals.size, np.complex128))))
+    covers = _audlet_covers(prototype, L, sample_rate, all_centers, all_gammas)
 
     sizes = np.array([values.size for _, values in covers])
     cap_rate = np.floor(r_d * sample_rate * r_bw / np.asarray(all_gammas))
@@ -551,16 +589,22 @@ def analyze(fb: FilterBank, x) -> list[np.ndarray]:
 
     The downsampled spectrum is formed by alias-folding X * H_k, which is the
     same map computed with length-L/d_k inverse transforms. Each run of consecutive channels
-    with one decimation folds into the rows of one block, which takes one inverse FFT in place.
+    with one decimation folds, through one zeroed scratch buffer, into the rows of one block,
+    which takes one inverse FFT in place.
     """
     x = _as_signal(x)
     if x.shape[0] != fb.signal_length:
         raise ShapeError(f"signal must have length {fb.signal_length}")
-    X, out = np.fft.fft(x), []
+    X, out = x.astype(np.complex128), []  # a copy, so the caller's array is never written
+    np.fft.fft(X, out=X)
     for first, end, d in _runs(fb.decimations):
-        block = np.empty((end - first, fb.signal_length // d), dtype=np.complex128)
-        for row, (start, values) in zip(block, fb._covers[first:end]):
-            _fold(_take(X, start, values.size), values, start, row)
+        N = fb.signal_length // d
+        covers = fb._covers[first:end]
+        block = np.empty((end - first, N), dtype=np.complex128)
+        rows = max(-(-(start % N + values.size) // N) for start, values in covers)
+        scratch = np.zeros(rows * N, dtype=np.complex128)
+        for row, (start, values) in zip(block, covers):
+            _fold(_take(X, start, values.size), values, start, row, scratch)
         block /= d
         out.extend(np.fft.ifft(block, axis=1, out=block))
     return out
@@ -590,7 +634,7 @@ def _synthesis_spectrum(fb: FilterBank, coefficients) -> np.ndarray:
             spectra = np.stack(coefficients[k0 : min(k0 + size, end)])
             np.fft.fft(spectra, axis=1, out=spectra)
             for k, (spectrum, (start, values)) in enumerate(zip(spectra, fb._covers[k0:end]), k0):
-                term = _take(spectrum, start, values.size) * values
+                term = _take(spectrum, start % spectrum.size, values.size) * values
                 _add_at(total, start, term)
                 if k in mirrored:
                     _add_at(total, *_mirror(start, term, L))

@@ -175,12 +175,19 @@ def inverse_scale(scale: AuditoryScale, units):
     lo = np.zeros_like(u)
     hi = np.full_like(u, _BARK_FMAX)
     # ~100 halvings take the bracket below double-precision resolution for
-    # every element at once; monotonicity makes the predicate exact.
+    # every element at once; monotonicity makes the predicate exact. Once a
+    # halving leaves every bracket at u > 0 as it was, so do all later ones
+    # (brackets at u == 0 never settle, and their result is set below).
+    moving = u > 0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         below = _bark_value(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        settled = not np.any(moving & ((new_lo != lo) | (new_hi != hi)))
+        lo, hi = new_lo, new_hi
+        if settled:
+            break
     f = 0.5 * (lo + hi)
     f = np.where(u == 0, 0.0, f)
     return _scalar_like(units, f)

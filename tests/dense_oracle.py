@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from audfb import filterbank, finite_frames, frame_diagnostics, masking, scales, synthesis
-from audfb.errors import ConvergenceError, DomainError, ShapeError
+from audfb.errors import ConvergenceError, DomainError, ShapeError, UnsupportedConfigError
 from audfb.filterbank import _as_signal
 
 
@@ -118,9 +118,8 @@ def circular_cover(mask):
     return (int(idx[(i + 1) % n]), int(L - gaps[i]))
 
 
-def window_cover(window, half_width, L, sample_rate, center, gamma):
-    """``filterbank._window_cover`` with every evaluated bin and offset
-    reduced mod L, whether the evaluated range wraps or not."""
+def _evaluated_bins(half_width, L, sample_rate, center, gamma):
+    """(center in bins, first bin, bin count) of the range a window is evaluated on."""
     c_bins = center * L / sample_rate
     if abs(c_bins - round(c_bins)) < 1e-9:
         c_bins = float(round(c_bins))
@@ -129,11 +128,51 @@ def window_cover(window, half_width, L, sample_rate, center, gamma):
     if reach < L / 2.0 - 2.0:
         first = math.floor(c_bins - reach) - 1
         count = math.ceil(c_bins + reach) + 2 - first
+    return c_bins, first, count
+
+
+def window_cover(window, half_width, L, sample_rate, center, gamma):
+    """One channel's cover of ``filterbank._audlet_covers`` before its gain,
+    with every evaluated bin and offset reduced mod L, whether the evaluated
+    range wraps or not."""
+    c_bins, first, count = _evaluated_bins(half_width, L, sample_rate, center, gamma)
     j = np.arange(first, first + count) % L
     t = (j - c_bins + L / 2.0) % L - L / 2.0
     values = window(t * (sample_rate / L) / gamma) / math.sqrt(gamma)
     start, n = circular_cover(values > 0.0)
     return int(j[start]), values.take(np.arange(start, start + n), mode="wrap")
+
+
+def loop_window_cover(window, half_width, L, sample_rate, center, gamma):
+    """:func:`window_cover` as the library computed it one channel at a time:
+    a range inside [0, L) is evaluated without the reductions mod L."""
+    c_bins, first, count = _evaluated_bins(half_width, L, sample_rate, center, gamma)
+    inside = count < L and 0 <= first and first + count <= L
+    j = np.arange(first, first + count)
+    if not inside:
+        j %= L
+    t = j - c_bins + L / 2.0 if inside else (j - c_bins + L / 2.0) % L
+    values = window((t - L / 2.0) * (sample_rate / L) / gamma) / math.sqrt(gamma)
+    start, n = circular_cover(values > 0.0)
+    return int(j[start]), values.take(np.arange(start, start + n), mode="wrap")
+
+
+def loop_audlet_covers(prototype, L, sample_rate, centers, gammas, window_cover=loop_window_cover):
+    """``filterbank._audlet_covers`` with one ``window_cover`` call per
+    channel, each cover scaled by its own gain to the prototype's energy."""
+    window, half_width, norm_sq = filterbank.PROTOTYPES[prototype]
+    target = (L / sample_rate) * norm_sq
+    covers = []
+    for k, (center, gamma) in enumerate(zip(centers, gammas)):
+        start, vals = window_cover(window, half_width, L, sample_rate, center, gamma)
+        if vals.size == 0:
+            raise UnsupportedConfigError(
+                f"channel {k} (center {center:.6g} Hz) has no nonzero bins; "
+                "increase signal_length or r_bw"
+            )
+        gain = math.sqrt(target / float(np.sum(vals**2)))
+        covers.append((start, np.multiply(vals, gain, out=np.empty(vals.size, np.complex128))))
+    return covers
 
 
 def expanded(fb):

@@ -39,9 +39,10 @@ MAX_ITERATIONS = 100
 TRACE_MAX_LENGTH = 16384  # longer signals skip the iterates a trace keeps
 
 
-def _audlet(rate, L, V, scale=audfb.ERB, prototype="hann", factor=1):
+def _audlet(rate, L, V, scale=audfb.ERB, prototype="hann", factor=1, f_min=0.0, r_bw=1.0):
     fb = audfb.build_audlet(
-        0.0, rate / 2.0, V, scale, sample_rate=rate, signal_length=L, prototype=prototype
+        f_min, rate / 2.0, V, scale, sample_rate=rate, signal_length=L, prototype=prototype,
+        r_bw=r_bw,
     )
     return dataclasses.replace(fb, decimations=factor * fb.decimations)
 
@@ -93,6 +94,12 @@ BANKS = {
     # decimations with a factor 3, not powers of two
     "erb_hann_12288_x2": lambda: _audlet(8000.0, 3 * 4096, 3.0, factor=2),
     "erb_44k_x2": lambda: _audlet(44100.0, 131072, 6.0, factor=2),
+    # full-circle DC, last-regular and Nyquist windows (each evaluated on all L bins)
+    "bark_gauss_96_full_circle": lambda: _audlet(
+        8000.0, 96, 1.0, audfb.BARK, "gauss", f_min=700.0, r_bw=3.0
+    ),
+    # a full-circle DC window of 40960 bins, more than one window batch holds
+    "erb_gauss_40960_wide_dc": lambda: _audlet(8000.0, 40960, 1.0, prototype="gauss", f_min=1000.0),
 }
 
 

@@ -1,7 +1,8 @@
 """The batched kernels against the simple loops they replaced, and the caches
 behind them.
 
-Analysis folds each run of consecutive channels with one decimation into one
+An audlet build evaluates the windows of consecutive channels in batches,
+analysis folds each run of consecutive channels with one decimation into one
 block and takes one inverse FFT of it, the synthesis spectrum takes one FFT
 per batch of such channels, the Walnut sum one scatter-add over all alias
 entries, and each masking sweep stops at the last target of its rate. All
@@ -19,7 +20,7 @@ import audfb
 import dense_oracle as oracle
 import identity
 from audfb import filterbank, frame_diagnostics, synthesis
-from audfb.errors import DomainError
+from audfb.errors import DomainError, UnsupportedConfigError
 from conftest import scaled_decimations
 
 
@@ -82,6 +83,162 @@ def test_synthesis_spectrum_matches_channel_loop(banks, monkeypatch, name, cap):
             assert all(rows == 1 or rows * n * 16 <= limit for rows, n in shapes)
             if cap == "below one channel":
                 assert all(rows == 1 for rows, n in shapes if n * 16 == longest)
+
+
+def audlet_channels(fb):
+    """(prototype, L, f_s, centers, dilations) an audlet bank's covers are built from."""
+    return (fb.config.prototype, fb.signal_length, fb.sample_rate,
+            fb.center_frequencies.tolist(), fb.dilations.tolist())
+
+
+def evaluated_bins(prototype, L, sample_rate, centers, gammas):
+    """(first bin, bin count) of the range each channel's window is evaluated on."""
+    half_width = filterbank.PROTOTYPES[prototype][1]
+    return [oracle._evaluated_bins(half_width, L, sample_rate, c, g)[1:]
+            for c, g in zip(centers, gammas)]
+
+
+def recorded_windows(patch, prototype):
+    """Bin counts of the window batches evaluated while patched."""
+    sizes, (window, *rest) = [], filterbank.PROTOTYPES[prototype]
+    patch.setitem(filterbank.PROTOTYPES, prototype,
+                  (lambda t: sizes.append(t.size) or window(t), *rest))
+    return sizes
+
+
+def batched_covers(patch, prototype, *channels):
+    """``filterbank._audlet_covers`` and the bin count of each window batch it evaluates."""
+    sizes = recorded_windows(patch, prototype)
+    return filterbank._audlet_covers(prototype, *channels), sizes
+
+
+def channel_batches(sizes, counts):
+    """The channels of each batch, read off the batch sizes: consecutive,
+    every channel in exactly one, and as many as fit under the cap."""
+    batches, k, cap = [], 0, filterbank._BATCH_BYTES // 8
+    for size in sizes:
+        end, total = k, 0
+        while total < size:
+            total, end = total + counts[end], end + 1
+        assert total == size
+        assert end - k == 1 or size <= cap
+        assert end == len(counts) or size + counts[end] > cap
+        batches.append(range(k, end))
+        k = end
+    assert k == len(counts)
+    return batches
+
+
+def assert_same_covers(fast, reference):
+    assert [start for start, _ in fast] == [start for start, _ in reference]
+    assert_same_channels([v for _, v in fast], [v for _, v in reference])
+
+
+AUDLET_BANKS = [name for name in identity.BANKS if not name.startswith(("random", "gabor"))]
+
+
+@pytest.mark.parametrize("cap", ["default", "one channel", "below one channel"])
+@pytest.mark.parametrize("name", AUDLET_BANKS)
+def test_audlet_covers_match_channel_loop(banks, monkeypatch, name, cap):
+    """At the default cap, at the bins of the bank's widest window and one
+    bin below them: the covers of one window evaluation per channel, bit for
+    bit, with every batch as full as the cap allows."""
+    fb = identity_bank(banks, name)
+    channels = audlet_channels(fb)
+    counts = [count for _, count in evaluated_bins(*channels)]
+    if cap != "default":
+        monkeypatch.setattr(filterbank, "_BATCH_BYTES", 8 * (max(counts) - (cap != "one channel")))
+    with monkeypatch.context() as patch:
+        fast, sizes = batched_covers(patch, *channels)
+    assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
+    assert_same_covers(fast, fb._covers)
+    batches = channel_batches(sizes, counts)
+    if cap == "below one channel":
+        widest = counts.index(max(counts))
+        assert range(widest, widest + 1) in batches
+
+
+def test_batch_ends_exactly_at_the_cap(monkeypatch):
+    """A cap of exactly the first two windows' bins makes them one batch."""
+    fb = audfb.build_audlet(0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=1024)
+    channels = audlet_channels(fb)
+    counts = [count for _, count in evaluated_bins(*channels)]
+    monkeypatch.setattr(filterbank, "_BATCH_BYTES", 8 * (counts[0] + counts[1]))
+    with monkeypatch.context() as patch:
+        fast, sizes = batched_covers(patch, *channels)
+    assert sizes[0] == counts[0] + counts[1]
+    assert channel_batches(sizes, counts)[0] == range(2)
+    assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
+
+
+def test_window_wider_than_the_cap_is_its_own_batch(banks, monkeypatch):
+    """At the default cap the full-circle DC window of 40960 bins is one
+    batch, and the channels after it share batches."""
+    fb = identity_bank(banks, "erb_gauss_40960_wide_dc")
+    channels = audlet_channels(fb)
+    counts = [count for _, count in evaluated_bins(*channels)]
+    assert counts[0] == fb.signal_length > filterbank._BATCH_BYTES // 8
+    with monkeypatch.context() as patch:
+        fast, sizes = batched_covers(patch, *channels)
+    batches = channel_batches(sizes, counts)
+    assert batches[0] == range(1) and len(batches) < len(counts) - 1
+    assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
+
+
+def test_full_circle_windows_share_a_batch(banks, monkeypatch):
+    """Full-circle windows of 96 bins, reduced mod L within their own
+    segment of one batch, give the covers of the modulo oracle."""
+    fb = identity_bank(banks, "bark_gauss_96_full_circle")
+    channels = audlet_channels(fb)
+    ranges = evaluated_bins(*channels)
+    full = [k for k, (first, count) in enumerate(ranges) if count == fb.signal_length]
+    assert full[0] == 0 and len(full) >= 2 and len(full) < len(ranges)
+    with monkeypatch.context() as patch:
+        fast, sizes = batched_covers(patch, *channels)
+    assert len(sizes) == 1
+    modulo = oracle.loop_audlet_covers(*channels, window_cover=oracle.window_cover)
+    assert_same_covers(fast, modulo)
+    assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
+
+
+def test_wrapping_dc_window():
+    """The DC window's range wraps past bin 0 and its cover past bin L-1, in
+    one batch with the other windows. It and the on-bin Nyquist window, whose
+    range lies inside [0, L), are even under j -> -j."""
+    fb = audfb.build_audlet(0.0, 4000.0, 3.0, audfb.ERB, sample_rate=8000.0, signal_length=1024)
+    channels = audlet_channels(fb)
+    L, ranges = fb.signal_length, evaluated_bins(*channels)
+    assert ranges[0][0] < 0 and 0 < ranges[-1][0] and sum(ranges[-1]) <= L
+    assert sum(count for _, count in ranges) <= filterbank._BATCH_BYTES // 8
+    fast = filterbank._audlet_covers(*channels)
+    assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
+    (dc_start, dc), (nyquist_start, nyquist) = fast[0], fast[-1]
+    assert dc_start + dc.size > L and nyquist_start + nyquist.size <= L
+    assert (dc_start + dc.size // 2) % L == 0 and nyquist_start + nyquist.size // 2 == L // 2
+    for values in (dc, nyquist):
+        assert np.array_equal(values, values[::-1])
+
+
+@pytest.mark.parametrize("cap_channels", [None, 2])
+def test_empty_window_names_its_channel(monkeypatch, cap_channels):
+    """A window with no positive bin raises the loop's error, naming the
+    first such channel, also when it is the fourth channel of a later batch."""
+    channels = filterbank._audlet_channels(
+        300.0, 4000.0, 1.0, audfb.ERB, sample_rate=8000.0, signal_length=128, prototype="hann",
+        r_bw=0.5, r_d=1.0, dc_filter=True,
+    )
+    args = ("hann", 128, 8000.0, *channels)
+    counts = [count for _, count in evaluated_bins(*args)]
+    if cap_channels is not None:
+        monkeypatch.setattr(filterbank, "_BATCH_BYTES", 8 * sum(counts[:cap_channels]))
+    with pytest.raises(UnsupportedConfigError) as expected:
+        oracle.loop_audlet_covers(*args)
+    assert str(expected.value).startswith("channel 5 ")
+    with monkeypatch.context() as patch, pytest.raises(UnsupportedConfigError) as raised:
+        sizes = recorded_windows(patch, "hann")
+        filterbank._audlet_covers(*args)
+    assert str(raised.value) == str(expected.value)
+    assert sizes == ([sum(counts)] if cap_channels is None else [sum(counts[:2]), sum(counts[2:6])])
 
 
 def signals_of(L):

@@ -9,6 +9,7 @@ so non-painless and full-support banks agree to 1e-12 relative.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -145,17 +146,20 @@ window_cover_settings = st.fixed_dictionaries(
 def test_window_covers_match_modulo_oracle(params):
     """Windows evaluated inside [0, L) skip the reductions mod L. Covers and
     decimations equal those of the oracle, which reduces every bin and
-    offset, on wrapping DC/Nyquist covers and full-circle windows too."""
+    offset of every channel, on wrapping DC/Nyquist covers and full-circle
+    windows too."""
     params = dict(params)
     args = [params.pop(name) for name in ("f_min", "f_max", "channels_per_unit", "scale")]
 
-    def build_with(window_cover):
+    def build_with(audlet_covers):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(filterbank, "_window_cover", window_cover)
+            patch.setattr(filterbank, "_audlet_covers", audlet_covers)
             return audfb.build_audlet(*args, sample_rate=8000.0, **params)
 
     try:
-        reference = build_with(oracle.window_cover)
+        reference = build_with(
+            functools.partial(oracle.loop_audlet_covers, window_cover=oracle.window_cover)
+        )
     except UnsupportedConfigError:
         with pytest.raises(UnsupportedConfigError):
             audfb.build_audlet(*args, sample_rate=8000.0, **params)

@@ -306,6 +306,17 @@ def test_decimation_must_divide_signal_length():
         )
 
 
+@pytest.mark.parametrize("decimations, named", [([2, 3, 0, 5], 3), ([4, 0, 3], 0), ([8, -2], -2)])
+def test_first_bad_decimation_is_named(decimations, named):
+    with pytest.raises(ShapeError, match=rf"^downsampling factor {named} must divide L=8$"):
+        audfb.FilterBank(
+            filters=np.ones((len(decimations), 8), dtype=complex),
+            decimations=np.array(decimations),
+            sample_rate=8.0,
+            one_sided=False,
+        )
+
+
 @pytest.mark.parametrize("name", ["center_frequencies", "dilations"])
 def test_per_channel_values_are_checked(default_erb_bank, name):
     """Centers and dilations hold one finite value per channel; a bank with

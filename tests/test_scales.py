@@ -129,6 +129,32 @@ class TestInverseScale:
             audfb.scale_value(audfb.BARK, freqs), units, rtol=1e-9, atol=1e-9
         )
 
+    @staticmethod
+    def full_bisection(units):
+        """The Bark inverse with all 100 halvings."""
+        lo, hi = np.zeros_like(units), np.full_like(units, scales._BARK_FMAX)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            below = scales._bark_value(mid) < units
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return np.where(units == 0, 0.0, 0.5 * (lo + hi))
+
+    def test_bark_bisection_stops_at_its_fixed_point(self, monkeypatch):
+        """Stopping once a halving moves no bracket at u > 0 gives the bits
+        of all 100 halvings, zeros included, in fewer halvings. A value so
+        small that its bracket never settles takes all 100."""
+        units = np.concatenate([[0.0, 0.0], np.linspace(0.0, 24.0, 129)[1:], [25.1]])
+        calls, bark_value = [], scales._bark_value
+        monkeypatch.setattr(scales, "_bark_value", lambda f: calls.append(f.size) or bark_value(f))
+        for values, halvings in ((units, range(2, 100)), (np.append(units, 1e-300), [100])):
+            full = self.full_bisection(values)
+            calls.clear()
+            fast = audfb.inverse_scale(audfb.BARK, values)
+            assert np.array_equal(fast, full) and np.array_equal(np.signbit(fast), np.signbit(full))
+            assert len(calls) - 1 in halvings  # the first call checks the range
+        for u in (units[5], 0.0):
+            assert np.array_equal(audfb.inverse_scale(audfb.BARK, u), self.full_bisection(np.array(u)))
+
     @settings(max_examples=200, deadline=None)
     @given(freq=frequencies, name=st.sampled_from(["erb", "bark"]))
     def test_roundtrip_property(self, freq, name):
